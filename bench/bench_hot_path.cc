@@ -24,7 +24,7 @@ struct HotPathRow {
   int width = 0;
   bool strings = false;
   int fanout = 0;
-  int batch = 1;
+  int train = 64;
   int64_t tuples = 0;
   double seconds = 0;
   TupleThroughput throughput;
@@ -35,9 +35,9 @@ std::vector<HotPathRow>& Rows() {
   return rows;
 }
 
-/// Rows from the batch_size sweep, dumped separately so the original
+/// Rows from the train_size sweep, dumped separately so the original
 /// BENCH_hotpath.json stays byte-comparable across commits.
-std::vector<HotPathRow>& BatchedRows() {
+std::vector<HotPathRow>& TrainRows() {
   static std::vector<HotPathRow> rows;
   return rows;
 }
@@ -81,21 +81,21 @@ std::vector<Tuple> MakeTuplePool(const SchemaPtr& schema, int width,
   return pool;
 }
 
-/// input --(fan-out F)--> F x [filter(v >= 5) -> map(all fields, v+1) ->
-/// tumble(cnt by k, every 16)] -> one output per branch.
-EngineOptions BatchedEngineOptions(int batch) {
+EngineOptions TrainEngineOptions(int train) {
   EngineOptions opts;
-  opts.batch_size = batch;
+  opts.train_size = train;
   return opts;
 }
 
+/// input --(fan-out F)--> F x [filter(v >= 5) -> map(all fields, v+1) ->
+/// tumble(cnt by k, every 16)] -> one output per branch.
 struct FanOutEngine {
   AuroraEngine engine;
   PortId in;
   uint64_t delivered = 0;
 
-  FanOutEngine(const SchemaPtr& schema, int width, int fanout, int batch = 1)
-      : engine(BatchedEngineOptions(batch)) {
+  FanOutEngine(const SchemaPtr& schema, int width, int fanout, int train)
+      : engine(TrainEngineOptions(train)) {
     in = *engine.AddInput("in", schema);
     std::vector<std::pair<std::string, Expr>> projections;
     projections.emplace_back("k", Expr::FieldRef("k"));
@@ -132,7 +132,7 @@ struct FanOutEngine {
 };
 
 void RunHotPath(benchmark::State& state, int width, bool strings,
-                int fanout, int batch = 1, bool batched_sweep = false) {
+                int fanout, int train = 64, bool train_sweep = false) {
   SchemaPtr schema = MakeWideSchema(width, strings);
   std::vector<Tuple> pool =
       MakeTuplePool(schema, width, strings, GlobalSeed());
@@ -143,7 +143,7 @@ void RunHotPath(benchmark::State& state, int width, bool strings,
   uint64_t delivered = 0;
   for (auto _ : state) {
     ResetObservability();
-    FanOutEngine fan(schema, width, fanout, batch);
+    FanOutEngine fan(schema, width, fanout, train);
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < tuples_per_iter; ++i) {
       Tuple t = pool[static_cast<size_t>(i) % pool.size()];
@@ -163,14 +163,14 @@ void RunHotPath(benchmark::State& state, int width, bool strings,
   row.width = width;
   row.strings = strings;
   row.fanout = fanout;
-  row.batch = batch;
+  row.train = train;
   row.name = "w" + std::to_string(width) + (strings ? "_str" : "_num") +
              "_fan" + std::to_string(fanout);
-  if (batched_sweep) row.name += "_b" + std::to_string(batch);
+  if (train_sweep) row.name += "_t" + std::to_string(train);
   row.tuples = total_tuples;
   row.seconds = total_seconds;
   row.throughput = ReportTupleThroughput(state, total_tuples, total_seconds);
-  (batched_sweep ? BatchedRows() : Rows()).push_back(row);
+  (train_sweep ? TrainRows() : Rows()).push_back(row);
 
   // Untimed attribution pass with bounded tracing: the obs dump carries
   // latency.attr.* stage histograms for aurora_inspect without the trace
@@ -183,7 +183,7 @@ void RunHotPath(benchmark::State& state, int width, bool strings,
   tracer.set_enabled(true);
   tracer.set_capacity(4096);
   {
-    FanOutEngine fan(schema, width, fanout, batch);
+    FanOutEngine fan(schema, width, fanout, train);
     for (int i = 0; i < tuples_per_iter; ++i) {
       Tuple t = pool[static_cast<size_t>(i) % pool.size()];
       t.set_seq(static_cast<SeqNo>(i));
@@ -216,19 +216,19 @@ BENCHMARK(BM_HotPath)
     ->Args({16, 1, 4})
     ->Args({16, 1, 16});
 
-// The batch_size axis: the same chain with the engine's ProcessBatch path
-// at 1 (scalar baseline), 8, and 64 tuples per activation. Narrow numeric
-// configs are where batching pays most (vectorized predicate/expr
-// evaluation plus chunked arc enqueues); the string configs measure the
-// StrColumn + identity-projection path, which keeps wide string schemas on
-// the batched path instead of falling back to scalar evaluation.
-void BM_HotPathBatched(benchmark::State& state) {
+// The train_size axis: the same chain with 1, 8, and 64 tuples per box
+// activation, each train handed to one Operator::ProcessBatch call. Narrow
+// numeric configs are where long trains pay most (vectorized
+// predicate/expr evaluation plus chunked arc enqueues); the string configs
+// measure the StrColumn + identity-projection path, which keeps wide string
+// schemas on columnar evaluation.
+void BM_HotPathTrain(benchmark::State& state) {
   RunHotPath(state, static_cast<int>(state.range(0)), state.range(1) != 0,
              static_cast<int>(state.range(2)),
-             static_cast<int>(state.range(3)), /*batched_sweep=*/true);
+             static_cast<int>(state.range(3)), /*train_sweep=*/true);
 }
-BENCHMARK(BM_HotPathBatched)
-    ->ArgNames({"width", "str", "fanout", "batch"})
+BENCHMARK(BM_HotPathTrain)
+    ->ArgNames({"width", "str", "fanout", "train"})
     ->Args({4, 0, 1, 1})
     ->Args({4, 0, 1, 8})
     ->Args({4, 0, 1, 64})
@@ -264,7 +264,7 @@ std::vector<HotPathRow> DedupRows(const std::vector<HotPathRow>& all) {
 }
 
 void DumpRowsJson(const char* path, const char* bench_name,
-                  const std::vector<HotPathRow>& rows, bool with_batch) {
+                  const std::vector<HotPathRow>& rows, bool with_train) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"" << bench_name << "\",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -272,7 +272,7 @@ void DumpRowsJson(const char* path, const char* bench_name,
     out << "    {\"name\": \"" << r.name << "\", \"width\": " << r.width
         << ", \"strings\": " << (r.strings ? "true" : "false")
         << ", \"fanout\": " << r.fanout;
-    if (with_batch) out << ", \"batch\": " << r.batch;
+    if (with_train) out << ", \"train\": " << r.train;
     out << ", \"tuples\": " << r.tuples
         << ", \"tuples_per_sec\": " << r.throughput.tuples_per_sec
         << ", \"ns_per_tuple\": " << r.throughput.ns_per_tuple << "}"
@@ -283,9 +283,9 @@ void DumpRowsJson(const char* path, const char* bench_name,
 
 void DumpHotPathJson() {
   DumpRowsJson("BENCH_hotpath.json", "hot_path", DedupRows(Rows()),
-               /*with_batch=*/false);
-  DumpRowsJson("BENCH_hotpath_batched.json", "hot_path_batched",
-               DedupRows(BatchedRows()), /*with_batch=*/true);
+               /*with_train=*/false);
+  DumpRowsJson("BENCH_hotpath_train.json", "hot_path_train",
+               DedupRows(TrainRows()), /*with_train=*/true);
 }
 
 }  // namespace

@@ -7,13 +7,12 @@
 // BENCH_threaded.json before comparing rows). Writes BENCH_threaded.json
 // with tuples/sec, ns/tuple, and the speedup over the 1-worker row.
 //
-// The batched-emission sweep (BM_ThreadedBatched) runs the same network
-// across workers x batch_size x train_size (the activation/emission chunk):
-// batch_size > 1 routes single-input boxes through ProcessBatch with
-// chunked downstream emission (ring multi-push), train_size bounds how many
-// tuples one activation consumes before re-queuing. Writes
-// BENCH_threaded_batched.json with the speedup of each batched row over the
-// scalar (batch=1) row at the same workers/chunk point.
+// The train sweep (BM_ThreadedTrain) runs the same network across workers x
+// train_size: a single-input box hands each activation's train to one
+// Operator::ProcessBatch call and emits it downstream in chunks (ring
+// multi-push), so train_size bounds both the activation and the emission
+// chunk. Writes BENCH_threaded_train.json with the speedup of each row over
+// the train=1 row at the same worker count.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -51,12 +50,11 @@ struct WideEngine {
   PortId in;
   std::vector<uint64_t> delivered;
 
-  WideEngine(int workers, int chains, int batch_size = 1, int train_size = 64)
+  WideEngine(int workers, int chains, int train_size = 64)
       : engine([&] {
           ThreadedEngineOptions opts;
           opts.workers = workers;
           opts.train_size = train_size;
-          opts.batch_size = batch_size;
           return opts;
         }()),
         in(-1),
@@ -146,30 +144,28 @@ BENCHMARK(BM_ThreadedWide)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-struct ThreadedBatchedRow {
+struct ThreadedTrainRow {
   std::string name;
   int workers = 0;
-  int batch = 0;
-  int chunk = 0;  // ThreadedEngineOptions::train_size
+  int train = 0;  // ThreadedEngineOptions::train_size
   int64_t tuples = 0;
   uint64_t steals = 0;
   uint64_t ring_full = 0;
   TupleThroughput throughput;
 };
 
-std::vector<ThreadedBatchedRow>& BatchedRows() {
-  static std::vector<ThreadedBatchedRow> rows;
+std::vector<ThreadedTrainRow>& TrainRows() {
+  static std::vector<ThreadedTrainRow> rows;
   return rows;
 }
 
-// workers x batch x chunk over the same 8-chain wide network. Also dumps an
+// workers x train over the same 8-chain wide network. Also dumps an
 // obs_threaded_<name>.json metrics snapshot per config so aurora_inspect
 // --check can reconcile the engine.threaded.batch.* chunk accounting against
 // per-engine tuple totals offline.
-void BM_ThreadedBatched(benchmark::State& state) {
+void BM_ThreadedTrain(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
-  const int batch = static_cast<int>(state.range(1));
-  const int chunk = static_cast<int>(state.range(2));
+  const int train = static_cast<int>(state.range(1));
   const int chains = 8;
   const int64_t tuples = GlobalIters() == 1 ? 20000 : 200000;
   SchemaPtr schema = SchemaAB();
@@ -178,13 +174,13 @@ void BM_ThreadedBatched(benchmark::State& state) {
     pool.push_back(
         MakeTuple(schema, {Value(int64_t{i % 8}), Value(int64_t{i % 10})}));
   }
-  std::string name = "batched/w" + std::to_string(workers) + "/b" +
-                     std::to_string(batch) + "/c" + std::to_string(chunk);
+  std::string name =
+      "train/w" + std::to_string(workers) + "/t" + std::to_string(train);
   double seconds = 0;
   uint64_t steals = 0, ring_full = 0;
   for (auto _ : state) {
     ResetObservability();
-    WideEngine wide(workers, chains, batch, chunk);
+    WideEngine wide(workers, chains, train);
     AURORA_CHECK(wide.engine.Start().ok());
     auto start = std::chrono::steady_clock::now();
     for (int64_t i = 0; i < tuples; ++i) {
@@ -205,61 +201,56 @@ void BM_ThreadedBatched(benchmark::State& state) {
   int64_t total = tuples * static_cast<int64_t>(state.iterations());
   TupleThroughput t = ReportTupleThroughput(state, total, seconds);
   state.counters["steals"] = static_cast<double>(steals);
-  ThreadedBatchedRow row;
+  ThreadedTrainRow row;
   row.name = name;
   row.workers = workers;
-  row.batch = batch;
-  row.chunk = chunk;
+  row.train = train;
   row.tuples = total;
   row.steals = steals;
   row.ring_full = ring_full;
   row.throughput = t;
-  BatchedRows().push_back(row);
+  TrainRows().push_back(row);
 }
 
-BENCHMARK(BM_ThreadedBatched)
-    ->ArgNames({"workers", "batch", "chunk"})
-    ->Args({1, 1, 64})
-    ->Args({1, 8, 64})
-    ->Args({1, 64, 64})
-    ->Args({4, 1, 64})
-    ->Args({4, 8, 64})
-    ->Args({4, 64, 64})
-    ->Args({4, 1, 16})
-    ->Args({4, 64, 16})
-    ->Args({4, 1, 256})
-    ->Args({4, 64, 256})
+BENCHMARK(BM_ThreadedTrain)
+    ->ArgNames({"workers", "train"})
+    ->Args({1, 1})
+    ->Args({1, 16})
+    ->Args({1, 64})
+    ->Args({4, 1})
+    ->Args({4, 16})
+    ->Args({4, 64})
+    ->Args({4, 256})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-void DumpThreadedBatchedJson() {
-  // Scalar baseline per (workers, chunk) point, so each batched row reports
-  // the speedup attributable to batching alone.
-  const std::vector<ThreadedBatchedRow>& rows = BatchedRows();
-  auto scalar_base = [&rows](int workers, int chunk) {
-    for (const ThreadedBatchedRow& r : rows) {
-      if (r.batch == 1 && r.workers == workers && r.chunk == chunk) {
+void DumpThreadedTrainJson() {
+  // train=1 baseline per worker count, so each row reports the speedup
+  // attributable to longer trains alone.
+  const std::vector<ThreadedTrainRow>& rows = TrainRows();
+  auto train1_base = [&rows](int workers) {
+    for (const ThreadedTrainRow& r : rows) {
+      if (r.train == 1 && r.workers == workers) {
         return r.throughput.tuples_per_sec;
       }
     }
     return 0.0;
   };
-  std::ofstream out("BENCH_threaded_batched.json");
-  out << "{\n  \"bench\": \"threaded_batched\",\n  \"cores\": "
+  std::ofstream out("BENCH_threaded_train.json");
+  out << "{\n  \"bench\": \"threaded_train\",\n  \"cores\": "
       << std::thread::hardware_concurrency() << ",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
-    const ThreadedBatchedRow& r = rows[i];
-    double base = scalar_base(r.workers, r.chunk);
+    const ThreadedTrainRow& r = rows[i];
+    double base = train1_base(r.workers);
     double speedup = base > 0 ? r.throughput.tuples_per_sec / base : 0;
     out << "    {\"name\": \"" << r.name << "\", \"workers\": " << r.workers
-        << ", \"batch\": " << r.batch << ", \"chunk\": " << r.chunk
-        << ", \"tuples\": " << r.tuples
+        << ", \"train\": " << r.train << ", \"tuples\": " << r.tuples
         << ", \"tuples_per_sec\": " << r.throughput.tuples_per_sec
         << ", \"ns_per_tuple\": " << r.throughput.ns_per_tuple
         << ", \"steals\": " << r.steals << ", \"ring_full\": " << r.ring_full
-        << ", \"speedup_vs_scalar\": " << speedup << "}"
+        << ", \"speedup_vs_train1\": " << speedup << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -304,7 +295,7 @@ int main(int argc, char** argv) {
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();
   ::aurora::bench::DumpThreadedJson();
-  ::aurora::bench::DumpThreadedBatchedJson();
+  ::aurora::bench::DumpThreadedTrainJson();
   ::benchmark::Shutdown();
   return 0;
 }

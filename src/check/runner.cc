@@ -127,7 +127,6 @@ RunReport RunScenario(const ScenarioSpec& spec, const RunOptions& opts) {
   sopts.transport.credit_window_bytes = spec.flow_window;
   sopts.transport.train_size = spec.train;
   sopts.transport.stream_dedup = spec.dedup;
-  sopts.engine.batch_size = opts.batch_size;
   AuroraStarSystem system(&sim, &net, sopts);
   for (int i = 0; i < spec.nodes; ++i) {
     NodeOptions nopts;
@@ -225,11 +224,7 @@ RunReport RunScenario(const ScenarioSpec& spec, const RunOptions& opts) {
   report.duplicates = monitor.duplicate_tuples();
 
   if (opts.oracle_diff) {
-    // The oracle is always scalar: with batch_size > 1 on the federation
-    // side this diff doubles as the batched-vs-scalar equivalence gate.
-    EngineOptions oracle_opts = sopts.engine;
-    oracle_opts.batch_size = 1;
-    AuroraEngine oracle(oracle_opts);
+    AuroraEngine oracle(sopts.engine);
     Status st = DeployQueryLocal(&oracle, *query);
     if (!st.ok()) {
       report.violations.push_back(

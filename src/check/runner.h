@@ -18,11 +18,6 @@ struct RunOptions {
   SimDuration drain_timeout = SimDuration::Seconds(30);
   /// Idle-detection granularity while draining.
   SimDuration drain_slice = SimDuration::Millis(100);
-  /// Engine batch_size for every federation node (the ProcessBatch path;
-  /// see EngineOptions::batch_size). The oracle always runs scalar
-  /// (batch_size 1), so with >1 this diffs the batched path against the
-  /// scalar one on top of the distributed-vs-oracle diff.
-  int batch_size = 1;
 };
 
 /// Everything one scenario execution produced. Deterministic: running the

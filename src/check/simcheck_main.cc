@@ -29,17 +29,12 @@ void Usage() {
                "usage: simcheck [--seed N] [--runs N] [--shrink 0|1]\n"
                "                [--replay <spec-file>] [--disable-dedup]\n"
                "                [--digest] [--out <dir>] [--threaded N]\n"
-               "                [--batch N]\n"
                "  --threaded N  run each scenario on the N-worker threaded\n"
                "                engine and diff against the oracle instead\n"
-               "                of the simulated federation\n"
-               "  --batch N     engine batch_size (ProcessBatch path) for\n"
-               "                the federation nodes / threaded engine; the\n"
-               "                oracle always runs scalar, so this gates\n"
-               "                batched output against the scalar path\n");
+               "                of the simulated federation\n");
 }
 
-int Replay(const std::string& path, bool disable_dedup, int batch) {
+int Replay(const std::string& path, bool disable_dedup) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "simcheck: cannot read '%s'\n", path.c_str());
@@ -53,9 +48,7 @@ int Replay(const std::string& path, bool disable_dedup, int batch) {
     return 2;
   }
   if (disable_dedup) spec->dedup = false;
-  aurora::RunOptions opts;
-  opts.batch_size = batch;
-  aurora::RunReport report = aurora::RunScenario(*spec, opts);
+  aurora::RunReport report = aurora::RunScenario(*spec);
   std::fputs(report.Summary().c_str(), stdout);
   return report.ok() ? 0 : 1;
 }
@@ -69,7 +62,6 @@ int main(int argc, char** argv) {
   bool disable_dedup = false;
   bool digest = false;
   int threaded = 0;
-  int batch = 1;
   std::string replay_path;
   std::string out_dir = ".";
   for (int i = 1; i < argc; ++i) {
@@ -97,9 +89,6 @@ int main(int argc, char** argv) {
       out_dir = next();
     } else if (arg == "--threaded") {
       threaded = std::atoi(next());
-    } else if (arg == "--batch") {
-      batch = std::atoi(next());
-      if (batch < 1) batch = 1;
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -110,7 +99,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!replay_path.empty()) return Replay(replay_path, disable_dedup, batch);
+  if (!replay_path.empty()) return Replay(replay_path, disable_dedup);
 
   if (threaded > 0) {
     // Threaded-runtime gate: no network, no faults — the scenario supplies
@@ -119,7 +108,7 @@ int main(int argc, char** argv) {
       uint64_t s = seed + static_cast<uint64_t>(r);
       aurora::ScenarioSpec spec = aurora::GenerateScenario(s);
       aurora::ThreadedCheckReport report =
-          aurora::RunThreadedScenario(spec, threaded, batch);
+          aurora::RunThreadedScenario(spec, threaded);
       if (digest) {
         std::fprintf(stdout, "seed %llu\n",
                      static_cast<unsigned long long>(s));
@@ -142,7 +131,6 @@ int main(int argc, char** argv) {
   }
 
   aurora::RunOptions ropts;
-  ropts.batch_size = batch;
   for (int r = 0; r < runs; ++r) {
     uint64_t s = seed + static_cast<uint64_t>(r);
     aurora::ScenarioSpec spec = aurora::GenerateScenario(s);

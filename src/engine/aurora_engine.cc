@@ -9,7 +9,6 @@ namespace aurora {
 
 AuroraEngine::AuroraEngine(EngineOptions opts)
     : opts_(opts), storage_(opts.memory_budget_bytes), shedder_(opts.shedder) {
-  if (opts_.batch_size < 1) opts_.batch_size = 1;
   MetricsRegistry& reg = MetricsRegistry::Global();
   m_tuples_in_ = reg.GetCounter("engine.tuples_in");
   m_tuples_shed_ = reg.GetCounter("engine.tuples_shed");
@@ -644,26 +643,15 @@ class AuroraEngine::RoutingEmitter : public Emitter {
                  std::vector<BoxId>* touched)
       : engine_(engine), box_(box), now_(now), touched_(touched) {}
 
-  /// Lineage id the current input tuple carries; emitted tuples that don't
-  /// already have one (freshly constructed by the operator) inherit it.
-  void set_trace_id(uint64_t id) { trace_id_ = id; }
-
   void Emit(int output, Tuple t) override {
-    if (trace_id_ != 0 && t.trace_id() == 0) t.set_trace_id(trace_id_);
     engine_->Route(Endpoint::BoxPort(box_, output), t, now_, touched_);
   }
 
-  /// Chunked sink for the batched path: one routing pass per staged run of
-  /// same-output emissions. Seq/trace stamping already happened inside the
-  /// BatchEmitter, so the chunk is routed as-is (trace_id_ is unset on the
-  /// batched path; the loop below mirrors Emit for completeness).
+  /// One routing pass per staged run of same-output emissions. Seq/trace
+  /// stamping already happened inside Operator::BatchEmitter, so the chunk
+  /// is routed as-is.
   void EmitChunk(int output, Tuple* tuples, size_t n) override {
     if (n == 0) return;
-    if (trace_id_ != 0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (tuples[i].trace_id() == 0) tuples[i].set_trace_id(trace_id_);
-      }
-    }
     engine_->RouteChunk(Endpoint::BoxPort(box_, output), tuples, n, now_,
                         touched_);
   }
@@ -673,7 +661,6 @@ class AuroraEngine::RoutingEmitter : public Emitter {
   BoxId box_;
   SimTime now_;
   std::vector<BoxId>* touched_;
-  uint64_t trace_id_ = 0;
 };
 
 void AuroraEngine::Route(const Endpoint& from, const Tuple& t, SimTime now,
@@ -815,7 +802,7 @@ Status AuroraEngine::PushInput(PortId input, Tuple t, SimTime now,
     }
   }
   Route(Endpoint::InputPort(input), t, now, nullptr);
-  storage_.EnforceBudget(AllQueues());
+  if (storage_.budget() > 0) storage_.EnforceBudget(AllQueues());
   return Status::OK();
 }
 
@@ -1029,29 +1016,26 @@ void AuroraEngine::EnsureBoxProfile(BoxId box_id, BoxRt* box) {
   box->prof_activations = reg.GetCounter(base + "activations");
   box->prof_tuples = reg.GetCounter(base + "tuples");
   box->prof_self_us = reg.GetCounter(base + "self_us");
-  box->prof_tuple_cost_us = reg.GetHistogram(base + "tuple_cost_us");
 }
 
 double AuroraEngine::ActivateBox(BoxId box_id, SimTime now,
                                  std::vector<BoxId>* touched) {
   BoxRt& box = boxes_[box_id];
   if (box.prof_activations == nullptr) EnsureBoxProfile(box_id, &box);
-  if (opts_.batch_size > 1 &&
-      opts_.scheduler != SchedulerPolicy::kTupleAtATime &&
-      box.op->num_inputs() == 1) {
-    return ActivateBoxBatched(box_id, now, touched);
-  }
-  int budget = opts_.scheduler == SchedulerPolicy::kTupleAtATime
-                   ? 1
-                   : opts_.train_size;
+  const int budget = opts_.scheduler == SchedulerPolicy::kTupleAtATime
+                         ? 1
+                         : opts_.train_size;
+  const int n_inputs = box.op->num_inputs();
   double cost_us = 0.0;
   double wait_sum_ms = 0.0;
   int processed = 0;
   RoutingEmitter emitter(this, box_id, now, touched);
-  const int n_inputs = box.op->num_inputs();
+  Tracer& tracer = Tracer::Global();
+  if (batch_depth_ == batch_pool_.size()) batch_pool_.emplace_back();
+  TupleBatch& batch = batch_pool_[batch_depth_++];
   int idle_scans = 0;
   while (processed < budget && idle_scans < n_inputs) {
-    int in = box.rr_next_input % n_inputs;
+    const int in = box.rr_next_input % n_inputs;
     box.rr_next_input = (box.rr_next_input + 1) % n_inputs;
     ArcId arc = box.in_arcs[in];
     if (arc < 0 || arcs_[arc].queue.empty()) {
@@ -1060,82 +1044,17 @@ double AuroraEngine::ActivateBox(BoxId box_id, SimTime now,
     }
     idle_scans = 0;
     ArcRt& a = arcs_[arc];
-    uint64_t reads_before = a.queue.unspill_reads();
-    int64_t enq_us = a.enqueue_us.front();
-    Tuple t = ArcDequeue(a);
-    double wait_ms = static_cast<double>(now.micros() - enq_us) / 1000.0;
-    wait_sum_ms += wait_ms;
-    m_queue_wait_ms_->Record(wait_ms);
-    double tuple_cost_us = box.op->cost_micros_per_tuple();
-    tuple_cost_us += static_cast<double>(a.queue.unspill_reads() -
-                                         reads_before) *
-                     opts_.spill_read_cost_us;
-    cost_us += tuple_cost_us;
-    box.prof_tuple_cost_us->Record(tuple_cost_us);
-    Tracer& tracer = Tracer::Global();
-    if (tracer.enabled() && t.trace_id() != 0) {
-      tracer.Record({t.trace_id(), SpanKind::kBoxExec, trace_node_,
-                     "box:" + box.spec.kind, now.micros(),
-                     now.micros() + static_cast<int64_t>(tuple_cost_us)});
-    }
-    emitter.set_trace_id(t.trace_id());
-    Status st;
-    {
-      // Per-tuple operator work must use bound field indices, not
-      // Get(name); see TupleHotPathSection.
-      TupleHotPathSection hot_path;
-      st = box.op->Process(in, t, now, &emitter);
-    }
-    if (!st.ok() && deferred_error_.ok()) deferred_error_ = st;
-    processed++;
-  }
-  if (processed > 0) {
-    double t_b_ms = wait_sum_ms / processed +
-                    (cost_us / processed) / 1000.0;
-    qos_.RecordBoxWork(box_id, t_b_ms, processed);
-    total_activations_++;
-    m_activations_->Add();
-    m_box_exec_us_->Record(cost_us);
-    box.prof_activations->Add();
-    box.prof_tuples->Add(static_cast<uint64_t>(processed));
-    box.prof_self_us->Add(static_cast<uint64_t>(cost_us));
-  }
-  return cost_us;
-}
-
-double AuroraEngine::ActivateBoxBatched(BoxId box_id, SimTime now,
-                                        std::vector<BoxId>* touched) {
-  BoxRt& box = boxes_[box_id];
-  ArcId arc_id = box.in_arcs[0];
-  if (arc_id < 0) return 0.0;
-  ArcRt& a = arcs_[arc_id];
-  const int budget = opts_.train_size;
-  double cost_us = 0.0;
-  double wait_sum_ms = 0.0;
-  int processed = 0;
-  RoutingEmitter emitter(this, box_id, now, touched);
-  Tracer& tracer = Tracer::Global();
-  // Stack-local scratch: output callbacks run inside ProcessBatch emissions
-  // and are free to re-enter the engine, so a member buffer could be
-  // clobbered mid-iteration. Column/tuple capacity still amortizes across
-  // the chunks of one activation.
-  TupleBatch batch;
-  batch.Reserve(static_cast<size_t>(std::min(budget, opts_.batch_size)));
-  // The queue is re-checked per chunk, so a self-feeding box sees its own
-  // emissions exactly as the scalar loop would.
-  while (processed < budget && !a.queue.empty()) {
-    const int want = std::min(budget - processed, opts_.batch_size);
+    // A single-input box takes the rest of its budget as one batch; a
+    // multi-input box one tuple per input turn, keeping its round-robin
+    // merge order.
+    const int want = n_inputs == 1 ? budget - processed : 1;
     batch.Clear();
-    int got = 0;
-    // Per-tuple accounting identical to the scalar activation loop, with
-    // consecutive equal histogram samples collapsed into one RecordN call
-    // (RecordN is defined to be bit-identical to the per-call sequence).
-    // Runs are flushed in arrival order, so even the floating sum inside
-    // each histogram accumulates in the scalar order.
-    double run_wait_ms = 0.0, run_cost_us = 0.0;
-    uint64_t run_wait_n = 0, run_cost_n = 0;
+    // Consecutive equal wait samples are collapsed into one RecordN call,
+    // which is bit-identical to the per-tuple Record sequence.
+    double run_wait_ms = 0.0;
+    uint64_t run_wait_n = 0;
     const bool tracing = tracer.enabled();
-    while (got < want && !a.queue.empty()) {
+    while (static_cast<int>(batch.size()) < want && !a.queue.empty()) {
       uint64_t reads_before = a.queue.unspill_reads();
       int64_t enq_us = a.enqueue_us.front();
       Tuple t = a.queue.Pop();
@@ -1153,37 +1072,29 @@ double AuroraEngine::ActivateBoxBatched(BoxId box_id, SimTime now,
                                            reads_before) *
                        opts_.spill_read_cost_us;
       cost_us += tuple_cost_us;
-      if (run_cost_n > 0 && tuple_cost_us != run_cost_us) {
-        box.prof_tuple_cost_us->RecordN(run_cost_us, run_cost_n);
-        run_cost_n = 0;
-      }
-      run_cost_us = tuple_cost_us;
-      run_cost_n++;
       if (tracing && t.trace_id() != 0) {
         tracer.Record({t.trace_id(), SpanKind::kBoxExec, trace_node_,
                        "box:" + box.spec.kind, now.micros(),
                        now.micros() + static_cast<int64_t>(tuple_cost_us)});
       }
       batch.Push(std::move(t), now);
-      got++;
     }
     if (run_wait_n > 0) m_queue_wait_ms_->RecordN(run_wait_ms, run_wait_n);
-    if (run_cost_n > 0) box.prof_tuple_cost_us->RecordN(run_cost_us, run_cost_n);
-    // One scheduler update for the whole dequeue run — same final queued
-    // count and readiness as `got` per-tuple NoteBoxQueued calls, minus the
-    // heap churn.
-    if (a.to.kind == Endpoint::Kind::kBox) NoteBoxQueued(a.to.id, -got);
-    // Seq/trace inheritance happens inside ProcessBatch's BatchEmitter (the
-    // engine can't know per-emission provenance mid-batch), so the routing
-    // emitter's trace id stays unset here.
+    const int got = static_cast<int>(batch.size());
+    // One scheduler update for the whole dequeue run.
+    NoteBoxQueued(box_id, -got);
     Status st;
     {
+      // Per-tuple operator work must use bound field indices, not
+      // Get(name); see TupleHotPathSection.
       TupleHotPathSection hot_path;
-      st = box.op->ProcessBatch(0, batch, &emitter);
+      st = box.op->ProcessBatch(in, batch, &emitter);
     }
     if (!st.ok() && deferred_error_.ok()) deferred_error_ = st;
     processed += got;
   }
+  batch.Clear();
+  --batch_depth_;
   if (processed > 0) {
     double t_b_ms = wait_sum_ms / processed +
                     (cost_us / processed) / 1000.0;
@@ -1218,7 +1129,7 @@ Result<double> AuroraEngine::RunOneStep(SimTime now) {
     }
     touched = std::move(next);
   }
-  storage_.EnforceBudget(AllQueues());
+  if (storage_.budget() > 0) storage_.EnforceBudget(AllQueues());
   total_cpu_micros_ += cost_us;
   m_queue_depth_->Set(static_cast<double>(TotalQueuedTuples()));
   if (!deferred_error_.ok()) {

@@ -44,18 +44,13 @@ enum class SchedulerPolicy {
 
 struct EngineOptions {
   SchedulerPolicy scheduler = SchedulerPolicy::kLongestQueue;
-  /// Max tuples consumed per box activation (train scheduling, §2.3).
+  /// Max tuples consumed per box activation (train scheduling, §2.3); 1
+  /// under kTupleAtATime. A single-input box hands the whole train to one
+  /// Operator::ProcessBatch call (re-checking its queue between calls); a
+  /// multi-input box takes one tuple per input in round robin, each as a
+  /// 1-tuple batch, so its merge interleaving is that of per-tuple
+  /// processing.
   int train_size = 64;
-  /// Tuples handed to one Operator::ProcessBatch call. 1 = the scalar path
-  /// (one virtual Process per tuple). >1 enables the batched path for
-  /// single-input boxes: up to this many tuples are dequeued per box
-  /// activation into a TupleBatch (never exceeding train_size), amortizing
-  /// dispatch and scheduler bookkeeping. Multi-input boxes and
-  /// kTupleAtATime stay scalar — batching a multi-input box would change
-  /// the round-robin interleaving across its inputs, and therefore output
-  /// order. Outputs are bit-identical either way (gated by the simcheck
-  /// golden seeds and the batch-vs-scalar property suite).
-  int batch_size = 1;
   /// How far a train is pushed toward the output within one step: after a
   /// box activation, boxes that received its emissions are activated too,
   /// up to this many layers.
@@ -318,7 +313,6 @@ class AuroraEngine {
     Counter* prof_activations = nullptr;
     Counter* prof_tuples = nullptr;
     Counter* prof_self_us = nullptr;
-    LatencyHistogram* prof_tuple_cost_us = nullptr;
   };
   struct ArcRt {
     Endpoint from;
@@ -362,20 +356,17 @@ class AuroraEngine {
   /// whole chunk is applied at once — one queue-append run, one
   /// NoteBoxQueued delta, one touched-dedup probe — instead of per tuple.
   /// Arc-major iteration preserves everything the gates observe: per-arc
-  /// FIFO, per-output delivery order, and per-CP record order all match the
-  /// tuple-major scalar loop because each is per-destination state.
+  /// FIFO, per-output delivery order, and per-CP record order all match
+  /// tuple-major routing because each is per-destination state.
   /// Consumes (moves from) the span.
   void RouteChunk(const Endpoint& from, Tuple* tuples, size_t n, SimTime now,
                   std::vector<BoxId>* touched);
   void DeliverToOutput(PortId port, const Tuple& t, SimTime now);
   Result<BoxId> PickBox(SimTime now);
-  /// Activates one box: consumes up to train_size tuples. Returns cost.
+  /// Activates one box: dequeues up to train_size tuples into TupleBatches
+  /// handed to Operator::ProcessBatch, with per-tuple cost/wait accounting
+  /// and one scheduler update per dequeued batch. Returns simulated cost.
   double ActivateBox(BoxId box, SimTime now, std::vector<BoxId>* touched);
-  /// Batched activation (batch_size > 1, single-input box): dequeues up to
-  /// batch_size tuples per ProcessBatch call, with per-tuple accounting
-  /// identical to the scalar loop and one scheduler update per dequeue run.
-  double ActivateBoxBatched(BoxId box, SimTime now,
-                            std::vector<BoxId>* touched);
   /// Registers the box's profiler series on first activation.
   void EnsureBoxProfile(BoxId box_id, BoxRt* box);
   void RecomputeOutputDistances();
@@ -436,6 +427,12 @@ class AuroraEngine {
   int trace_node_ = -1;
   bool ingest_blocked_ = false;
   TieredStore* durable_store_ = nullptr;
+  /// ActivateBox scratch, one batch per activation nesting level (output
+  /// callbacks may re-enter RunOneStep). Reused across activations so a
+  /// warm batch stops allocating; cleared on exit so no tuple handle
+  /// outlives its activation. deque: growing keeps outer levels in place.
+  std::deque<TupleBatch> batch_pool_;
+  size_t batch_depth_ = 0;
   // Cached registry metrics (process-wide aggregates across engines; the
   // per-output QoS series are per-engine, via QoSMonitor's prefix).
   Counter* m_tuples_in_;

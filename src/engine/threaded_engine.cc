@@ -16,7 +16,6 @@ ThreadedEngine::ThreadedEngine(ThreadedEngineOptions opts) : opts_(opts) {
   if (opts_.workers < 1) opts_.workers = 1;
   if (opts_.train_size < 1) opts_.train_size = 1;
   if (opts_.ring_capacity < 2) opts_.ring_capacity = 2;
-  if (opts_.batch_size < 1) opts_.batch_size = 1;
   MetricsRegistry& reg = MetricsRegistry::Global();
   m_tuples_in_ = reg.GetCounter("engine.threaded.tuples_in");
   m_delivered_ = reg.GetCounter("engine.threaded.delivered");
@@ -377,6 +376,12 @@ void ThreadedEngine::DeferError(const Status& s) {
 void ThreadedEngine::NotifyReady(BoxId box, int worker) {
   (void)worker;
   BoxRt& b = boxes_[box];
+  // Store-buffer race with PostRun: we published to a ring (tail store)
+  // and now read the state; the consumer wrote the state (Queued->Running)
+  // and later reads the tail. Without a full fence on both sides each can
+  // miss the other's write — we see a stale kQueued and return, it sees an
+  // empty ring and goes Idle — stranding the tuple. Pairs with PostRun.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   uint32_t state = b.state.load(std::memory_order_relaxed);
   for (;;) {
     switch (state) {
@@ -448,31 +453,18 @@ void ThreadedEngine::RunReadyItem(int box, int worker) {
 /// arcs to the (mutex-serialized) delivery callback.
 class ThreadedEngine::RoutingEmitter : public Emitter {
  public:
-  RoutingEmitter(ThreadedEngine* engine, BoxId box, SimTime now, int worker)
-      : engine_(engine), box_(box), now_(now), worker_(worker) {}
+  RoutingEmitter(ThreadedEngine* engine, BoxId box, int worker)
+      : engine_(engine), box_(box), worker_(worker) {}
 
-  void Emit(int output, Tuple t) override {
-    BoxRt& b = engine_->boxes_[box_];
-    AURORA_CHECK(output >= 0 && output < static_cast<int>(b.out_arcs.size()))
-        << "emit on unknown box output " << output;
-    const std::vector<ArcId>& fan = b.out_arcs[output];
-    for (size_t i = 0; i < fan.size(); ++i) {
-      const ArcRt& arc = engine_->arcs_[fan[i]];
-      // COW handle copy for all but the last branch.
-      Tuple branch = (i + 1 == fan.size()) ? std::move(t) : t;
-      if (arc.to.is_box()) {
-        engine_->EnqueueArc(fan[i], std::move(branch), worker_);
-      } else {
-        engine_->DeliverToOutput(arc.to.id, branch, worker_);
-      }
-    }
-  }
+  /// ProcessBatch stages every emission and flushes through EmitChunk, so
+  /// a lone Emit is just a one-tuple chunk.
+  void Emit(int output, Tuple t) override { EmitChunk(output, &t, 1); }
 
-  /// Chunked sink for the batched path: each box-bound branch takes the
-  /// whole span through the ring's multi-push (one release store per
-  /// published run); output branches stay per-tuple (the callback contract
-  /// is per tuple). Per-arc FIFO is unchanged — the span is already in
-  /// emission order and each arc receives it in order.
+  /// Each box-bound branch takes the whole span through the ring's
+  /// multi-push (one release store per published run); output branches stay
+  /// per-tuple (the callback contract is per tuple). Per-arc FIFO is
+  /// unchanged — the span is already in emission order and each arc
+  /// receives it in order.
   void EmitChunk(int output, Tuple* tuples, size_t n) override {
     if (n == 0) return;
     BoxRt& b = engine_->boxes_[box_];
@@ -489,7 +481,7 @@ class ThreadedEngine::RoutingEmitter : public Emitter {
         if (last) {
           engine_->EnqueueArcChunk(fan[a], tuples, n, worker_);
         } else {
-          // COW handle copies for every branch but the last, as Emit does.
+          // COW handle copies for every branch but the last.
           branch_scratch_.assign(tuples, tuples + n);
           engine_->EnqueueArcChunk(fan[a], branch_scratch_.data(), n,
                                    worker_);
@@ -505,7 +497,6 @@ class ThreadedEngine::RoutingEmitter : public Emitter {
  private:
   ThreadedEngine* engine_;
   BoxId box_;
-  SimTime now_;
   int worker_;
   std::vector<Tuple> branch_scratch_;
 };
@@ -517,10 +508,7 @@ void ThreadedEngine::RunBoxActivation(BoxId box, int worker) {
   int budget = opts_.train_size;
   int num_inputs = static_cast<int>(b.in_arcs.size());
   if (num_inputs == 0) return;
-  if (opts_.batch_size > 1 && num_inputs == 1) {
-    RunBoxActivationBatched(box, worker);
-    return;
-  }
+  TupleBatch& batch = b.batch;
   int idle_scans = 0;
   uint64_t processed = 0;
   while (budget > 0 && idle_scans < num_inputs) {
@@ -531,63 +519,35 @@ void ThreadedEngine::RunBoxActivation(BoxId box, int worker) {
       idle_scans++;
       continue;
     }
+    // A single-input box takes the rest of its budget as one batch; a
+    // multi-input box one tuple per input turn, keeping its round-robin
+    // merge order.
+    const int want = num_inputs == 1 ? budget : 1;
+    BoundedRing<Tuple>* ring = arcs_[arc].ring.get();
+    batch.Clear();
     Tuple t;
-    if (!arcs_[arc].ring->TryPop(&t)) {
+    while (static_cast<int>(batch.size()) < want && ring->TryPop(&t)) {
+      // Operators see `now` = the tuple's own timestamp (threaded mode has
+      // no global clock; docs/THREADING.md).
+      SimTime ts = t.timestamp();
+      batch.Push(std::move(t), ts);
+    }
+    if (batch.empty()) {
       idle_scans++;
       continue;
     }
     idle_scans = 0;
-    budget--;
-    processed++;
-    // Operators see `now` = the tuple's own timestamp (threaded mode has no
-    // global clock; docs/THREADING.md).
-    SimTime now = t.timestamp();
-    Status st;
-    {
-      TupleHotPathSection hot_path;
-      RoutingEmitter emitter(this, box, now, worker);
-      st = b.op->Process(input, t, now, &emitter);
-    }
-    if (!st.ok()) DeferError(st);
-  }
-  if (processed > 0) {
-    tuples_processed_.fetch_add(processed, std::memory_order_relaxed);
-  }
-}
-
-void ThreadedEngine::RunBoxActivationBatched(BoxId box, int worker) {
-  BoxRt& b = boxes_[box];
-  ArcId arc = b.in_arcs[0];
-  if (arc < 0 || arcs_[arc].ring == nullptr) return;
-  BoundedRing<Tuple>* ring = arcs_[arc].ring.get();
-  int budget = opts_.train_size;
-  uint64_t processed = 0;
-  // Stack scratch: help-on-full means a ProcessBatch emission can run a
-  // downstream box's activation on this same thread, so nothing batched may
-  // live in the engine or box.
-  TupleBatch batch;
-  batch.Reserve(static_cast<size_t>(std::min(budget, opts_.batch_size)));
-  while (budget > 0) {
-    const int want = std::min(budget, opts_.batch_size);
-    batch.Clear();
-    Tuple t;
-    while (static_cast<int>(batch.size()) < want && ring->TryPop(&t)) {
-      // Operators see `now` = the tuple's own timestamp, as on the scalar
-      // threaded path (docs/THREADING.md).
-      SimTime ts = t.timestamp();
-      batch.Push(std::move(t), ts);
-    }
-    if (batch.empty()) break;
     budget -= static_cast<int>(batch.size());
     processed += batch.size();
     Status st;
     {
       TupleHotPathSection hot_path;
-      RoutingEmitter emitter(this, box, batch.now(0), worker);
-      st = b.op->ProcessBatch(0, batch, &emitter);
+      RoutingEmitter emitter(this, box, worker);
+      st = b.op->ProcessBatch(input, batch, &emitter);
     }
     if (!st.ok()) DeferError(st);
   }
+  batch.Clear();
   if (processed > 0) {
     tuples_processed_.fetch_add(processed, std::memory_order_relaxed);
   }
@@ -595,6 +555,9 @@ void ThreadedEngine::RunBoxActivationBatched(BoxId box, int worker) {
 
 void ThreadedEngine::PostRun(BoxId box, int worker) {
   BoxRt& b = boxes_[box];
+  // Orders our claim (the transition to Running) before the ring reads in
+  // AnyInputPending; pairs with the fence in NotifyReady.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   for (;;) {
     uint32_t state = b.state.load(std::memory_order_acquire);
     if (state == kRunningNotified || AnyInputPending(b)) {

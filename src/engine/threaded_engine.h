@@ -26,17 +26,15 @@ struct ThreadedEngineOptions {
   /// threads; callers opt into a width explicitly, benches sweep it).
   int workers = 1;
   /// Max tuples one box activation consumes before re-queuing itself —
-  /// the train size of the single-threaded scheduler (§2.3).
+  /// the train size of the single-threaded scheduler (§2.3). As there, a
+  /// single-input box hands the train to Operator::ProcessBatch in one
+  /// call; a multi-input box takes 1-tuple batches round-robin over its
+  /// inputs.
   int train_size = 64;
   /// Per-arc ring capacity in tuples (rounded up to a power of two). Full
   /// rings backpressure by running the consumer inline, so this bounds
   /// memory, not correctness.
   size_t ring_capacity = 1024;
-  /// Tuples per Operator::ProcessBatch call. 1 = scalar path. >1 batches
-  /// single-input boxes (multi-input boxes keep the scalar round-robin so
-  /// their merge interleaving is untouched), exactly like
-  /// EngineOptions::batch_size on the single-threaded engine.
-  int batch_size = 1;
 };
 
 /// \brief Multithreaded execution runtime: the same query-network model as
@@ -161,6 +159,10 @@ class ThreadedEngine {
     /// Round-robin cursor over in_arcs; touched only by the worker that
     /// currently holds the box claim.
     int rr_next_input = 0;
+    /// Activation scratch, claim-holder-only like rr_next_input. Help on
+    /// full nests activations on one thread, but only of downstream boxes
+    /// (the network is acyclic), so a box never re-enters its own batch.
+    TupleBatch batch;
   };
   struct ArcRt {
     Endpoint from;
@@ -209,12 +211,9 @@ class ThreadedEngine {
   /// Claims an un-queued or queued box directly (help path). On success the
   /// box is Running and the caller must PostRun it.
   bool TryClaimForHelp(BoxId box);
-  /// Consumes up to train_size tuples from the box's in-rings.
+  /// Consumes up to train_size tuples from the box's in-rings through
+  /// Operator::ProcessBatch.
   void RunBoxActivation(BoxId box, int worker);
-  /// Batched variant for single-input boxes (batch_size > 1): pops up to
-  /// batch_size tuples per ProcessBatch call. Uses only stack scratch —
-  /// help-on-full can nest activations on one thread.
-  void RunBoxActivationBatched(BoxId box, int worker);
   /// Post-activation protocol: re-queue if notified or input remains, else
   /// transition to Idle and release the work item.
   void PostRun(BoxId box, int worker);

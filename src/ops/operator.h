@@ -35,7 +35,8 @@ class Emitter {
 /// \brief Base class for all Aurora boxes (paper §2.2).
 ///
 /// Lifecycle: construct from an OperatorSpec → Init(input schemas) →
-/// Process per tuple (+ OnTick for time-driven boxes) → Drain when the
+/// ProcessBatch per train, which engines call (Process is the per-tuple
+/// reference it must match) + OnTick for time-driven boxes → Drain when the
 /// surrounding network is stabilized for a move (§5.1).
 ///
 /// The base tracks the transport sequence number of the last tuple processed
@@ -103,12 +104,11 @@ class Operator {
                : static_cast<double>(tuples_out_) / static_cast<double>(tuples_in_);
   }
 
-  /// Emitter wrapper used on the batched path. Per-emission it applies the
-  /// same lineage rules the scalar path splits between CountingEmitter
-  /// (seq inheritance) and the engine's routing emitter (trace-id
-  /// propagation): a ProcessBatchImpl override must call SetCurrent(t)
-  /// before emitting on behalf of tuple `t`, because the engine cannot know
-  /// per-emission provenance mid-batch.
+  /// Emitter wrapper used by ProcessBatch. Per emission it applies the
+  /// lineage rules: seq inheritance (as CountingEmitter does for Process)
+  /// and trace-id propagation. A ProcessBatchImpl override must call
+  /// SetCurrent(t) before emitting on behalf of tuple `t`, because the
+  /// engine cannot know per-emission provenance mid-batch.
   ///
   /// With buffering enabled (ProcessBatch turns it on, sized to the input
   /// batch) emissions are staged after stamping and handed downstream as
@@ -176,7 +176,7 @@ class Operator {
   /// (returning the first).
   virtual Status ProcessBatchImpl(int input, TupleBatch& batch,
                                   BatchEmitter* emitter);
-  /// Per-tuple base bookkeeping on the batched path (lineage tracking and
+  /// Per-tuple base bookkeeping in ProcessBatchImpl (lineage tracking and
   /// selectivity input counting) — the batch equivalent of what Process
   /// does before delegating to ProcessImpl.
   void NoteBatchTupleIn(int input, const Tuple& t) {

@@ -1,5 +1,6 @@
 #include "tuple/serde.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace aurora {
@@ -212,7 +213,10 @@ Status DeserializeTuplesInto(const std::vector<uint8_t>& buf,
   out->clear();
   Decoder dec(buf);
   AURORA_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
-  out->reserve(count);
+  // `count` is untrusted wire data: reserve no more tuples than the
+  // remaining bytes could hold (timestamp, seq, trace id, value count).
+  constexpr size_t kMinEncodedTupleBytes = 8 + 8 + 8 + 2;
+  out->reserve(std::min<size_t>(count, dec.remaining() / kMinEncodedTupleBytes));
   for (uint32_t i = 0; i < count; ++i) {
     AURORA_ASSIGN_OR_RETURN(Tuple t, dec.GetTuple(schema));
     out->push_back(std::move(t));

@@ -13,13 +13,13 @@ namespace aurora {
 /// \brief One consumable train of tuples handed to Operator::ProcessBatch,
 /// plus a lazily-built columnar scratch over it.
 ///
-/// The engine fills a batch with up to `batch_size` tuples dequeued from one
-/// arc, together with the per-tuple `now` each tuple would have been
-/// processed under on the scalar path (the activation clock in the
-/// single-threaded engine, the tuple's own timestamp in the threaded one).
-/// Operators consume the batch front to back; emission order must match what
-/// per-tuple Process calls would have produced, which is what the
-/// batch-vs-scalar equivalence suite gates.
+/// An engine activation fills a batch with up to `train_size` tuples
+/// dequeued from one arc (one tuple per input turn for a multi-input box),
+/// together with the per-tuple `now` each tuple is processed under (the
+/// activation clock in the single-threaded engine, the tuple's own timestamp
+/// in the threaded one). Operators consume the batch front to back; emission
+/// order must match what per-tuple Process calls would have produced, which
+/// is what the batch-vs-scalar equivalence suite gates.
 ///
 /// Columnar scratch: for fixed-width fields (int64 / double) of a
 /// schema-uniform batch, I64Column / F64Column materialize the field as a
@@ -60,7 +60,7 @@ class TupleBatch {
 
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
   Tuple& tuple(size_t i) { return tuples_[i]; }
-  /// The scalar-path clock tuple `i` would have been processed under.
+  /// The clock tuple `i` is processed under.
   SimTime now(size_t i) const { return nows_[i]; }
 
   /// All tuples share one schema object (pointer identity). Columns are

@@ -50,36 +50,19 @@ constexpr Golden kPreOverhaulGoldens[] = {
     {25, 0xd0a8daa5db5ac914ull},
 };
 
-void CheckGoldens(const RunOptions& opts, const char* mode) {
+// The goldens predate batched activation: every box now consumes its train
+// through Operator::ProcessBatch, and must not move a single byte of any
+// run report — output rows, QoS numbers, scheduler stats, recovery
+// behaviour all identical to the per-tuple loop that produced them.
+TEST(HotPathGoldenTest, TwentyFiveSeedsBitIdenticalToPreOverhaul) {
   for (const Golden& g : kPreOverhaulGoldens) {
     ScenarioSpec spec = GenerateScenario(g.seed);
     std::string text = spec.ToSpec();
-    RunReport report = RunScenario(spec, opts);
+    RunReport report = RunScenario(spec);
     uint64_t h = Fnv1a(text + "\n--\n" + report.Summary());
-    EXPECT_EQ(h, g.hash) << "seed " << g.seed << " (" << mode
-                         << ") diverged from the pre-overhaul golden";
+    EXPECT_EQ(h, g.hash) << "seed " << g.seed
+                         << " diverged from the pre-overhaul golden";
   }
-}
-
-TEST(HotPathGoldenTest, TwentyFiveSeedsBitIdenticalToPreOverhaul) {
-  CheckGoldens(RunOptions{}, "scalar");
-}
-
-// The batched (ProcessBatch) path gates on the SAME goldens: enabling
-// batch dequeue must not move a single byte of any run report — output
-// rows, QoS numbers, scheduler stats, recovery behaviour all identical.
-TEST(HotPathGoldenTest, BatchedModeMatchesTheSameGoldens) {
-  RunOptions opts;
-  opts.batch_size = 8;
-  CheckGoldens(opts, "batch=8");
-}
-
-// Odd batch size: chunk tails never divide evenly, catching any
-// accounting that assumes full batches.
-TEST(HotPathGoldenTest, OddBatchSizeMatchesTheSameGoldens) {
-  RunOptions opts;
-  opts.batch_size = 7;
-  CheckGoldens(opts, "batch=7");
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // ThreadedEngine runtime: per-arc FIFO determinism on linear chains,
 // fan-out delivery, help-on-full backpressure with tiny rings, stateful
-// operators vs the single-threaded oracle, deferred operator errors, and
-// the ring multi-push (TryPushN) edge cases chunked batch emission leans
-// on: wraparound-spanning reserves, chunks larger than the ring, and a
-// concurrent multi-push/pop oracle (run under TSan in CI).
+// operators vs the single-threaded oracle, deferred operator errors, a
+// lost-wakeup stress check of quiescence, and the ring multi-push
+// (TryPushN) edge cases chunked batch emission leans on: wraparound-spanning
+// reserves, chunks larger than the ring, and a concurrent multi-push/pop
+// oracle (run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -349,14 +351,13 @@ TEST(RingMultiPushTest, ConcurrentMultiPushPopOracle) {
   EXPECT_TRUE(ring.EmptyApprox());
 }
 
-// Engine-level: batch_size 64 over capacity-2 rings makes every chunked
+// Engine-level: train_size 64 over capacity-2 rings makes every chunked
 // emission larger than the ring. The chunk must degrade to repeated partial
 // publishes with help-on-full between them — exact output, no deadlock.
 TEST(ThreadedEngineTest, BatchedChunkLargerThanRingHelpsNotDeadlocks) {
   ThreadedEngineOptions opts;
   opts.workers = 2;
   opts.train_size = 64;
-  opts.batch_size = 64;
   opts.ring_capacity = 2;
   Chain c(opts, /*threshold=*/0);
   ASSERT_OK(c.engine.Start());
@@ -381,8 +382,7 @@ TEST(ThreadedEngineTest, BatchedEmissionExactUnderStealingWorkers) {
   for (int workers : {1, 2, 4}) {
     ThreadedEngineOptions opts;
     opts.workers = workers;
-    opts.train_size = 16;
-    opts.batch_size = 8;
+    opts.train_size = 8;
     opts.ring_capacity = 8;
     Chain c(opts, kThreshold);
     ASSERT_OK(c.engine.Start());
@@ -394,6 +394,58 @@ TEST(ThreadedEngineTest, BatchedEmissionExactUnderStealingWorkers) {
     EXPECT_EQ(c.rows, expected) << "workers=" << workers;
     EXPECT_EQ(c.engine.delivered(c.out), expected.size());
   }
+}
+
+// Lost-wakeup stress: a producer publishing into a ring while its consumer
+// is finishing an activation must never leave the tuple stranded. Many
+// small rounds keep producers and consumers meeting at that edge; after
+// every WaitQuiescent each chain must have delivered every tuple pushed so
+// far. Bounded by wall time, so a slow (sanitized) build runs fewer rounds.
+TEST(ThreadedEngineTest, QuiescenceNeverStrandsATupleUnderStress) {
+  const int kChains = 3;
+  const int kMaxRounds = 20000;
+  const auto kBudget = std::chrono::milliseconds(1500);
+  ThreadedEngineOptions opts;
+  opts.workers = 4;
+  opts.train_size = 2;
+  opts.ring_capacity = 4;
+  ThreadedEngine engine(opts);
+  PortId in = *engine.AddInput("in", SchemaAB());
+  std::vector<PortId> outs;
+  for (int c = 0; c < kChains; ++c) {
+    PortId out = *engine.AddOutput("out" + std::to_string(c));
+    outs.push_back(out);
+    BoxId f = *engine.AddBox(FilterSpec(Predicate::True()));
+    BoxId m = *engine.AddBox(MapSpec({{"A", Expr::FieldRef("A")},
+                                      {"B", Expr::FieldRef("B")}}));
+    ASSERT_OK(engine.Connect(Endpoint::InputPort(in),
+                             Endpoint::BoxPort(f, 0)).status());
+    ASSERT_OK(engine.Connect(Endpoint::BoxPort(f, 0),
+                             Endpoint::BoxPort(m, 0)).status());
+    ASSERT_OK(engine.Connect(Endpoint::BoxPort(m, 0),
+                             Endpoint::OutputPort(out)).status());
+  }
+  ASSERT_OK(engine.Start());
+  const auto deadline = std::chrono::steady_clock::now() + kBudget;
+  uint64_t pushed = 0;
+  int rounds = 0;
+  while (rounds < kMaxRounds && std::chrono::steady_clock::now() < deadline) {
+    const int k = 1 + rounds % 4;
+    for (int i = 0; i < k; ++i) {
+      ASSERT_OK(engine.PushInput(in, T(static_cast<int64_t>(pushed), 1,
+                                       static_cast<int64_t>(pushed) + 1),
+                                 SimTime()));
+      ++pushed;
+    }
+    engine.WaitQuiescent();
+    for (int c = 0; c < kChains; ++c) {
+      ASSERT_EQ(engine.delivered(outs[c]), pushed)
+          << "chain " << c << " stranded a tuple in round " << rounds;
+    }
+    ++rounds;
+  }
+  ASSERT_OK(engine.Stop());
+  EXPECT_GT(rounds, 0);
 }
 
 TEST(ThreadedEngineTest, StartRejectsUninitializedBoxes) {

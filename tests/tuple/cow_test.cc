@@ -235,13 +235,11 @@ TEST(CowBatchTest, ScratchReuseAcrossClearRebuildsColumns) {
   EXPECT_EQ(a_col[0], 1);
 }
 
-// The batched filter path is still zero-copy end to end: with batch_size
-// > 1 a pass-through tuple reaches the output callback aliasing the pushed
-// body, exactly like the scalar path above.
+// The batched filter path is still zero-copy end to end: a pass-through
+// tuple reaches the output callback aliasing the pushed body, exactly like
+// the per-tuple Process path above.
 TEST(CowBatchTest, BatchedEnginePassThroughSharesBodyWithInput) {
-  EngineOptions eopts;
-  eopts.batch_size = 8;
-  AuroraEngine engine(eopts);
+  AuroraEngine engine;
   PortId in = *engine.AddInput("in", SchemaABS());
   PortId out = *engine.AddOutput("out");
   BoxId f = *engine.AddBox(FilterSpec(Predicate::True()));

@@ -95,6 +95,19 @@ TEST(SerdeTest, TrailingGarbageIsError) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+// A hostile tuple count must not size an allocation: 0xFFFFFFFF tuples
+// announced, none present, is a decode error rather than a ~100 GB
+// reserve that aborts the process.
+TEST(SerdeTest, HugeTupleCountWithoutTuplesIsError) {
+  Encoder enc;
+  enc.PutU32(0xFFFFFFFFu);
+  std::vector<Tuple> out;
+  Status st = DeserializeTuplesInto(enc.buffer(), SchemaAB(), &out);
+  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(SerdeTest, BadValueTagIsError) {
   Encoder enc;
   enc.PutU8(200);  // not a ValueType
