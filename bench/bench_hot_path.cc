@@ -25,7 +25,11 @@ struct HotPathRow {
   bool strings = false;
   int fanout = 0;
   int train = 64;
+  /// Tuples pushed per iteration and the outputs the last iteration
+  /// delivered: both fixed by the config and the seed, unlike the
+  /// iteration count Google Benchmark picks from wall time.
   int64_t tuples = 0;
+  uint64_t delivered = 0;
   double seconds = 0;
   TupleThroughput throughput;
 };
@@ -167,7 +171,8 @@ void RunHotPath(benchmark::State& state, int width, bool strings,
   row.name = "w" + std::to_string(width) + (strings ? "_str" : "_num") +
              "_fan" + std::to_string(fanout);
   if (train_sweep) row.name += "_t" + std::to_string(train);
-  row.tuples = total_tuples;
+  row.tuples = tuples_per_iter;
+  row.delivered = delivered;
   row.seconds = total_seconds;
   row.throughput = ReportTupleThroughput(state, total_tuples, total_seconds);
   (train_sweep ? TrainRows() : Rows()).push_back(row);
@@ -273,7 +278,7 @@ void DumpRowsJson(const char* path, const char* bench_name,
         << ", \"strings\": " << (r.strings ? "true" : "false")
         << ", \"fanout\": " << r.fanout;
     if (with_train) out << ", \"train\": " << r.train;
-    out << ", \"tuples\": " << r.tuples
+    out << ", \"tuples\": " << r.tuples << ", \"delivered\": " << r.delivered
         << ", \"tuples_per_sec\": " << r.throughput.tuples_per_sec
         << ", \"ns_per_tuple\": " << r.throughput.ns_per_tuple << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";

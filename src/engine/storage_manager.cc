@@ -1,6 +1,7 @@
 #include "engine/storage_manager.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "common/logging.h"
 #include "tuple/serde.h"
@@ -9,9 +10,10 @@ namespace aurora {
 
 /// Durable FIFO behind one arc queue's spilled prefix. Each spilled tuple
 /// is serialized into the arc's tiered-store stream; pops read the stream
-/// back in order and truncate consumed records so the dropper reclaims
-/// them. The schema handle is captured from the spilled tuples themselves
-/// (an arc carries one schema), so readback re-attaches the same SchemaPtr.
+/// back in order — one store scan fetches up to kReadAhead records at a
+/// time — and truncate consumed records so the dropper reclaims them. The
+/// schema handle is captured from the spilled tuples themselves (an arc
+/// carries one schema), so readback re-attaches the same SchemaPtr.
 class StorageManager::SpillChannel : public SpillSink {
  public:
   SpillChannel(TieredStore* store, std::string stream, Counter* unspills)
@@ -29,17 +31,25 @@ class StorageManager::SpillChannel : public SpillSink {
   }
 
   Tuple UnspillTuple() override {
-    auto rec = store_->Read(stream_, next_read_);
-    next_read_++;
+    if (ahead_.empty()) {
+      const uint64_t n = std::clamp<size_t>(pending_, 1, kReadAhead);
+      store_->Scan(stream_, next_read_, next_read_ + n - 1,
+                   [&](const StoredRecord& r) {
+                     ahead_.push_back(Fetched{r.seq, r.payload});
+                   });
+    }
+    const uint64_t seq = next_read_++;
     if (pending_ > 0) pending_--;
     m_unspills_->Add();
     MaybeTruncate();
-    if (!rec.ok()) {
-      AURORA_LOG(Error) << "storage: unspill read failed: "
-                        << rec.status().ToString();
+    if (ahead_.empty() || ahead_.front().seq != seq) {
+      AURORA_LOG(Error) << "storage: unspill read failed: storage: record "
+                        << seq << " on stream '" << stream_ << "' unreadable";
       return Tuple();
     }
-    Decoder dec(rec->payload);
+    const std::vector<uint8_t> payload = std::move(ahead_.front().payload);
+    ahead_.pop_front();
+    Decoder dec(payload);
     auto t = dec.GetTuple(schema_);
     if (!t.ok()) {
       AURORA_LOG(Error) << "storage: unspill decode failed: "
@@ -52,6 +62,7 @@ class StorageManager::SpillChannel : public SpillSink {
   void DiscardSpilled(size_t n) override {
     next_read_ += n;
     pending_ = pending_ >= n ? pending_ - n : 0;
+    ahead_.clear();
     store_->Truncate(stream_, next_read_ - 1);
   }
 
@@ -64,12 +75,21 @@ class StorageManager::SpillChannel : public SpillSink {
     }
   }
 
+  /// Records fetched per store scan once the read-ahead runs dry.
+  static constexpr size_t kReadAhead = 64;
+  struct Fetched {
+    uint64_t seq;
+    std::vector<uint8_t> payload;
+  };
+
   TieredStore* store_;
   std::string stream_;
   Counter* m_unspills_;
   SchemaPtr schema_;
   uint64_t next_read_ = 1;  ///< store seq of the oldest unread record
   size_t pending_ = 0;      ///< spilled but not yet read back / discarded
+  /// Read-ahead: records from next_read_ on, fetched but not yet popped.
+  std::deque<Fetched> ahead_;
   std::vector<uint8_t> scratch_;
 };
 

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
+#include <span>
+#include <string_view>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -15,8 +17,12 @@ namespace {
 
 constexpr uint32_t kPageMagic = 0x61757250;  // "Pura"
 constexpr uint32_t kMetaMagic = 0x6175724D;  // "Mura"
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr char kMetaPath[] = "meta.bin";
+/// Page layout: u32 magic | u32 version | u32 checksum | header | records.
+/// The checksum is FNV-1a over every byte after it, header fields included.
+constexpr size_t kPageChecksumAt = 8;
+constexpr size_t kPageChecksummedFrom = 12;
 
 uint32_t Fnv1a32(const uint8_t* data, size_t n, uint32_t seed = 2166136261u) {
   uint32_t h = seed;
@@ -25,6 +31,46 @@ uint32_t Fnv1a32(const uint8_t* data, size_t n, uint32_t seed = 2166136261u) {
     h *= 16777619u;
   }
   return h;
+}
+
+/// One AOF frame decoded in place: the stream name and the payload view the
+/// segment bytes, so a reader filters on the header before copying anything.
+struct FrameView {
+  std::string_view stream;
+  uint64_t seq = 0;
+  int64_t timestamp_us = 0;
+  std::span<const uint8_t> payload;
+};
+
+/// The one AOF frame decoder (reads, compaction and recovery): passes each
+/// frame of a segment to `fn` in log order, stopping at the first malformed
+/// frame (torn tail: bad length, checksum or body). Returns the bytes of
+/// clean data consumed.
+template <class Fn>
+size_t ForEachFrame(const std::vector<uint8_t>& data, Fn&& fn) {
+  size_t pos = 0;
+  while (data.size() - pos >= 8) {
+    Decoder head(data.data() + pos, 8);
+    uint32_t len = *head.GetU32();
+    uint32_t cksum = *head.GetU32();
+    if (len == 0 || data.size() - pos - 8 < len) break;  // torn tail
+    const uint8_t* body = data.data() + pos + 8;
+    if (Fnv1a32(body, len) != cksum) break;  // corrupt frame
+    Decoder dec(body, len);
+    auto stream = dec.GetStringView();
+    auto seq = dec.GetU64();
+    auto ts = dec.GetI64();
+    auto payload_len = dec.GetU32();
+    if (!stream.ok() || !seq.ok() || !ts.ok() || !payload_len.ok() ||
+        dec.remaining() != *payload_len) {
+      break;
+    }
+    fn(FrameView{*stream, *seq, *ts,
+                 std::span<const uint8_t>(body + (len - *payload_len),
+                                          *payload_len)});
+    pos += 8 + len;
+  }
+  return pos;
 }
 
 /// Trailing zero-padded number of "aof/000007.log" / "page/000012.page".
@@ -125,7 +171,7 @@ void TieredStore::AppendRecord(const std::string& stream, uint64_t seq,
   Encoder frame;
   frame.PutU32(static_cast<uint32_t>(body.size() + n));
   // Chained FNV over header-then-payload equals one pass over the stored
-  // contiguous frame body, which is what DecodeSegment verifies.
+  // contiguous frame body, which is what ForEachFrame verifies.
   uint32_t cksum = Fnv1a32(body.buffer().data(), body.size());
   cksum = Fnv1a32(payload, n, cksum);
   frame.PutU32(cksum);
@@ -247,17 +293,18 @@ void TieredStore::CompactOneSegment(SimTime now) {
                       << data.status().ToString();
     return;
   }
-  // Preserve per-stream arrival order (== seq order) while grouping.
-  std::map<std::string, std::vector<StoredRecord>> by_stream;
-  DecodeSegment(*data, [&](StoredRecord rec) {
-    by_stream[rec.stream].push_back(std::move(rec));
-  });
+  // Group frames per stream, preserving arrival order (== seq order). The
+  // views point into `data`; bytes are copied only into the page encoding.
+  std::map<std::string_view, std::vector<FrameView>> by_stream;
+  ForEachFrame(*data,
+               [&](const FrameView& f) { by_stream[f.stream].push_back(f); });
   uint64_t kept = 0, dropped = 0;
-  for (auto& [stream, records] : by_stream) {
+  std::vector<const FrameView*> live;
+  for (const auto& [stream_view, records] : by_stream) {
+    const std::string stream(stream_view);
     const StreamState& ss = streams_[stream];
-    std::vector<StoredRecord*> live;
-    live.reserve(records.size());
-    for (auto& r : records) {
+    live.clear();
+    for (const FrameView& r : records) {
       if (RecordLive(ss, r.seq)) {
         live.push_back(&r);
       } else {
@@ -273,34 +320,43 @@ void TieredStore::CompactOneSegment(SimTime now) {
     info.max_seq = live.back()->seq;
     info.min_ts = std::numeric_limits<int64_t>::max();
     info.max_ts = std::numeric_limits<int64_t>::min();
-    for (const StoredRecord* r : live) {
+    for (const FrameView* r : live) {
       info.min_ts = std::min(info.min_ts, r->timestamp_us);
       info.max_ts = std::max(info.max_ts, r->timestamp_us);
     }
     Encoder enc;
     enc.PutU32(kPageMagic);
     enc.PutU32(kFormatVersion);
+    enc.PutU32(0);  // checksum, patched once the page is encoded
     enc.PutString(stream);
     enc.PutU32(info.count);
     enc.PutU64(info.min_seq);
     enc.PutU64(info.max_seq);
     enc.PutI64(info.min_ts);
     enc.PutI64(info.max_ts);
-    for (const StoredRecord* r : live) {
+    info.body_offset = static_cast<uint32_t>(enc.size());
+    for (const FrameView* r : live) {
       enc.PutU64(r->seq);
       enc.PutI64(r->timestamp_us);
       enc.PutU32(static_cast<uint32_t>(r->payload.size()));
-      for (uint8_t b : r->payload) enc.PutU8(b);
+      enc.PutBytes(r->payload.data(), r->payload.size());
+    }
+    std::vector<uint8_t> page = enc.TakeBuffer();
+    info.checksum = Fnv1a32(page.data() + kPageChecksummedFrom,
+                            page.size() - kPageChecksummedFrom);
+    for (size_t i = 0; i < 4; ++i) {
+      page[kPageChecksumAt + i] =
+          static_cast<uint8_t>(info.checksum >> (8 * i));
     }
     info.path = PagePath(next_page_++);
-    info.bytes = enc.size();
-    Status st = fs_->WriteFileAtomic(info.path, enc.buffer());
+    info.bytes = page.size();
+    Status st = fs_->WriteFileAtomic(info.path, page);
     if (!st.ok()) {
       AURORA_LOG(Error) << "storage: page write failed: " << st.ToString();
       continue;
     }
     page_bytes_ += info.bytes;
-    pages_[stream].push_back(info);
+    pages_[stream].push_back(std::move(info));
     m_pages_written_->Add();
   }
   aof_bytes_ -= std::min<size_t>(aof_bytes_, data->size());
@@ -402,45 +458,16 @@ void TieredStore::LoadMeta() {
 // Recovery
 // ---------------------------------------------------------------------------
 
-size_t TieredStore::DecodeSegment(
-    const std::vector<uint8_t>& data,
-    const std::function<void(StoredRecord)>& fn) const {
-  size_t pos = 0;
-  while (data.size() - pos >= 8) {
-    Decoder head(data.data() + pos, 8);
-    uint32_t len = *head.GetU32();
-    uint32_t cksum = *head.GetU32();
-    if (len == 0 || data.size() - pos - 8 < len) break;  // torn tail
-    const uint8_t* body = data.data() + pos + 8;
-    if (Fnv1a32(body, len) != cksum) break;  // corrupt frame
-    Decoder dec(body, len);
-    auto stream = dec.GetString();
-    auto seq = dec.GetU64();
-    auto ts = dec.GetI64();
-    auto payload_len = dec.GetU32();
-    if (!stream.ok() || !seq.ok() || !ts.ok() || !payload_len.ok() ||
-        dec.remaining() != *payload_len) {
-      break;
-    }
-    StoredRecord rec;
-    rec.stream = std::move(*stream);
-    rec.seq = *seq;
-    rec.timestamp_us = *ts;
-    rec.payload.assign(body + (len - *payload_len), body + len);
-    fn(std::move(rec));
-    pos += 8 + len;
-  }
-  return pos;
-}
-
 Result<TieredStore::PageInfo> TieredStore::ReadPageHeader(
-    const std::string& path, std::vector<uint8_t>* data) const {
+    const std::string& path) const {
   auto bytes = fs_->ReadFile(path);
   if (!bytes.ok()) return bytes.status();
   Decoder dec(*bytes);
   auto magic = dec.GetU32();
   auto version = dec.GetU32();
-  if (!magic.ok() || *magic != kPageMagic || !version.ok()) {
+  auto checksum = dec.GetU32();
+  if (!magic.ok() || *magic != kPageMagic || !version.ok() ||
+      *version != kFormatVersion || !checksum.ok()) {
     return Status::Internal("bad page header in '" + path + "'");
   }
   auto stream = dec.GetString();
@@ -462,7 +489,8 @@ Result<TieredStore::PageInfo> TieredStore::ReadPageHeader(
   info.min_ts = *min_ts;
   info.max_ts = *max_ts;
   info.bytes = bytes->size();
-  if (data != nullptr) *data = std::move(*bytes);
+  info.checksum = *checksum;
+  info.body_offset = static_cast<uint32_t>(bytes->size() - dec.remaining());
   return info;
 }
 
@@ -483,7 +511,7 @@ Status TieredStore::Open() {
   LoadMeta();
 
   for (const std::string& path : fs_->List("page/")) {
-    auto info = ReadPageHeader(path, nullptr);
+    auto info = ReadPageHeader(path);
     if (!info.ok()) {
       AURORA_LOG(Warn) << "storage: skipping bad page: "
                        << info.status().ToString();
@@ -510,9 +538,12 @@ Status TieredStore::Open() {
     auto data = fs_->ReadFile(path);
     if (!data.ok()) continue;
     uint64_t recovered = 0;
-    size_t clean = DecodeSegment(*data, [&](StoredRecord rec) {
-      StreamState& ss = streams_[rec.stream];
-      ss.next_seq = std::max(ss.next_seq, rec.seq + 1);
+    size_t clean = ForEachFrame(*data, [&](const FrameView& f) {
+      auto it = streams_.find(f.stream);
+      if (it == streams_.end()) {
+        it = streams_.emplace(std::string(f.stream), StreamState{}).first;
+      }
+      it->second.next_seq = std::max(it->second.next_seq, f.seq + 1);
       recovered++;
     });
     m_recovered_records_->Add(recovered);
@@ -555,27 +586,6 @@ Result<StoredRecord> TieredStore::Read(const std::string& stream,
     return Status::NotFound("storage: no live record " + std::to_string(seq) +
                             " on stream '" + stream + "'");
   }
-  // Memstore fast path: a spilled queue tail is re-read oldest-first soon
-  // after spilling, so the cache usually still covers it.
-  auto mit = mem_.find(stream);
-  if (mit != mem_.end() && !mit->second.records.empty() &&
-      seq >= mit->second.records.front().seq) {
-    const auto& records = mit->second.records;
-    auto rit = std::lower_bound(
-        records.begin(), records.end(), seq,
-        [](const MemRecord& r, uint64_t s) { return r.seq < s; });
-    if (rit != records.end() && rit->seq == seq) {
-      m_read_records_->Add();
-      m_read_scanned_->Add();
-      StoredRecord rec;
-      rec.stream = stream;
-      rec.seq = rit->seq;
-      rec.timestamp_us = rit->timestamp_us;
-      rec.payload = rit->payload;
-      UpdateGauges();
-      return rec;
-    }
-  }
   StoredRecord found;
   bool have = false;
   ScanRange(stream, seq, seq, std::numeric_limits<int64_t>::min(),
@@ -612,56 +622,23 @@ size_t TieredStore::ScanTime(const std::string& stream, int64_t min_ts_us,
                    max_ts_us, fn);
 }
 
-void TieredStore::EmitFromPages(
-    const std::string& stream, uint64_t min_seq, uint64_t max_seq,
-    int64_t min_ts, int64_t max_ts, uint64_t* last_emitted, size_t* emitted,
-    const std::function<void(const StoredRecord&)>& fn) {
-  auto pit = pages_.find(stream);
-  if (pit == pages_.end()) return;
-  const StreamState& ss = streams_[stream];
-  for (const PageInfo& info : pit->second) {
-    if (info.max_seq < min_seq || info.min_seq > max_seq) continue;
-    if (info.max_ts < min_ts || info.min_ts > max_ts) continue;
-    if (info.max_seq <= ss.floor) continue;
-    auto data = fs_->ReadFile(info.path);
-    if (!data.ok()) continue;
-    m_read_bytes_->Add(data->size());
-    std::vector<uint8_t> bytes = std::move(*data);
-    Decoder dec(bytes);
-    // Skip the header (already indexed).
-    (void)dec.GetU32();
-    (void)dec.GetU32();
-    (void)dec.GetString();
-    (void)dec.GetU32();
-    (void)dec.GetU64();
-    (void)dec.GetU64();
-    (void)dec.GetI64();
-    (void)dec.GetI64();
-    for (uint32_t i = 0; i < info.count; ++i) {
-      auto seq = dec.GetU64();
-      auto ts = dec.GetI64();
-      auto len = dec.GetU32();
-      if (!seq.ok() || !ts.ok() || !len.ok() || dec.remaining() < *len) break;
-      m_read_scanned_->Add();
-      StoredRecord rec;
-      rec.stream = stream;
-      rec.seq = *seq;
-      rec.timestamp_us = *ts;
-      size_t off = bytes.size() - dec.remaining();
-      rec.payload.assign(bytes.begin() + off, bytes.begin() + off + *len);
-      // Advance past the payload.
-      for (uint32_t b = 0; b < *len; ++b) (void)dec.GetU8();
-      if (rec.seq <= *last_emitted || rec.seq < min_seq || rec.seq > max_seq ||
-          !RecordLive(ss, rec.seq) || rec.timestamp_us < min_ts ||
-          rec.timestamp_us > max_ts) {
-        continue;
-      }
-      *last_emitted = rec.seq;
-      (*emitted)++;
-      m_read_records_->Add();
-      fn(rec);
+bool TieredStore::PageIntact(PageInfo* info,
+                             const std::vector<uint8_t>& bytes) {
+  if (info->check == PageCheck::kUnverified) {
+    // The size check guards the record walk, which starts at body_offset.
+    const bool ok =
+        bytes.size() >= info->body_offset &&
+        Fnv1a32(bytes.data() + kPageChecksummedFrom,
+                bytes.size() - kPageChecksummedFrom) == info->checksum;
+    info->check = ok ? PageCheck::kVerified : PageCheck::kCorrupt;
+    if (!ok) {
+      // Registered on first use: healthy runs never create the series.
+      MetricsRegistry::Global().GetCounter("storage.pages.corrupt")->Add();
+      AURORA_LOG(Error) << "storage: page '" << info->path
+                        << "' fails its checksum; its records are skipped";
     }
   }
+  return info->check == PageCheck::kVerified;
 }
 
 size_t TieredStore::ScanRange(
@@ -675,24 +652,36 @@ size_t TieredStore::ScanRange(
   if (min_seq > max_seq) return 0;
 
   size_t emitted = 0;
-  uint64_t last_emitted = min_seq == 0 ? 0 : min_seq - 1;
+  uint64_t last_emitted = min_seq - 1;
+  // Every tier offers records by header; only the ones that pass are
+  // copied into the one scratch record handed to `fn`.
+  StoredRecord rec;
+  rec.stream = stream;
+  auto offer = [&](uint64_t seq, int64_t ts, std::span<const uint8_t> payload) {
+    m_read_scanned_->Add();
+    if (seq <= last_emitted || seq < min_seq || seq > max_seq ||
+        !RecordLive(ss, seq) || ts < min_ts || ts > max_ts) {
+      return;
+    }
+    last_emitted = seq;
+    emitted++;
+    m_read_records_->Add();
+    rec.seq = seq;
+    rec.timestamp_us = ts;
+    rec.payload.assign(payload.begin(), payload.end());
+    fn(rec);
+  };
 
   // Memstore-only fast path: the cache covers the whole requested range.
   auto mit = mem_.find(stream);
   if (mit != mem_.end() && !mit->second.records.empty() &&
       min_seq >= mit->second.records.front().seq) {
-    for (const MemRecord& r : mit->second.records) {
-      if (r.seq < min_seq || r.seq > max_seq) continue;
-      if (r.timestamp_us < min_ts || r.timestamp_us > max_ts) continue;
-      m_read_scanned_->Add();
-      m_read_records_->Add();
-      StoredRecord rec;
-      rec.stream = stream;
-      rec.seq = r.seq;
-      rec.timestamp_us = r.timestamp_us;
-      rec.payload = r.payload;
-      fn(rec);
-      emitted++;
+    const auto& records = mit->second.records;
+    auto it = std::lower_bound(
+        records.begin(), records.end(), min_seq,
+        [](const MemRecord& r, uint64_t s) { return r.seq < s; });
+    for (; it != records.end() && it->seq <= max_seq; ++it) {
+      offer(it->seq, it->timestamp_us, it->payload);
     }
     UpdateGauges();
     return emitted;
@@ -702,8 +691,34 @@ size_t TieredStore::ScanRange(
   // sealed segments the middle, the active segment the newest. Per stream
   // the tiers are disjoint in seq (compaction removes a segment in the same
   // tick its pages appear); the last_emitted guard makes overlap harmless.
-  EmitFromPages(stream, min_seq, max_seq, min_ts, max_ts, &last_emitted,
-                &emitted, fn);
+  auto pit = pages_.find(stream);
+  if (pit != pages_.end()) {
+    for (PageInfo& info : pit->second) {
+      if (info.max_seq < min_seq || info.min_seq > max_seq) continue;
+      if (info.max_ts < min_ts || info.min_ts > max_ts) continue;
+      if (info.max_seq <= ss.floor || info.check == PageCheck::kCorrupt) {
+        continue;
+      }
+      auto data = fs_->ReadFile(info.path);
+      if (!data.ok()) continue;
+      m_read_bytes_->Add(data->size());
+      if (!PageIntact(&info, *data)) continue;
+      const std::vector<uint8_t>& bytes = *data;
+      Decoder dec(bytes.data() + info.body_offset,
+                  bytes.size() - info.body_offset);
+      for (uint32_t i = 0; i < info.count; ++i) {
+        auto seq = dec.GetU64();
+        auto ts = dec.GetI64();
+        auto len = dec.GetU32();
+        if (!seq.ok() || !ts.ok() || !len.ok()) break;
+        const uint8_t* payload =
+            bytes.data() + (bytes.size() - dec.remaining());
+        if (!dec.Skip(*len).ok()) break;
+        if (*seq > max_seq) break;  // a page's records are in seq order
+        offer(*seq, *ts, std::span<const uint8_t>(payload, *len));
+      }
+    }
+  }
 
   std::vector<uint64_t> segments(compact_queue_.begin(), compact_queue_.end());
   if (active_segment_ != 0) segments.push_back(active_segment_);
@@ -711,18 +726,12 @@ size_t TieredStore::ScanRange(
     auto data = fs_->ReadFile(SegmentPath(seg));
     if (!data.ok()) continue;
     m_read_bytes_->Add(data->size());
-    DecodeSegment(*data, [&](StoredRecord rec) {
-      m_read_scanned_->Add();
-      if (rec.stream != stream) return;
-      if (rec.seq <= last_emitted || rec.seq < min_seq || rec.seq > max_seq) {
+    ForEachFrame(*data, [&](const FrameView& f) {
+      if (f.stream != stream) {
+        m_read_scanned_->Add();
         return;
       }
-      if (!RecordLive(ss, rec.seq)) return;
-      if (rec.timestamp_us < min_ts || rec.timestamp_us > max_ts) return;
-      last_emitted = rec.seq;
-      emitted++;
-      m_read_records_->Add();
-      fn(rec);
+      offer(f.seq, f.timestamp_us, f.payload);
     });
   }
   UpdateGauges();

@@ -61,11 +61,16 @@ struct TieredStoreOptions {
 ///
 /// Reads (Read/Scan/ScanAll) serve from the memstore when it covers the
 /// requested range and otherwise merge pages → sealed segments → active
-/// segment in sequence order; `storage.reads.*` counters expose the scan
-/// amplification this costs. Truncate(stream, upto) is the HA
-/// queue-truncation hook: a logical floor persisted in a meta file so a
-/// recovered store neither resurrects confirmed records nor reuses their
-/// sequence numbers.
+/// segment in sequence order in one pass; `storage.reads.*` counters expose
+/// the scan amplification this costs. Readers filter every page record and
+/// AOF frame on its header (stream, seq, floor, timestamp) and copy out only
+/// the records they emit, so a range read costs one pass over the tiers,
+/// not one pass per record. Each page carries an FNV-1a checksum, verified
+/// on the page's first read; a page that fails it serves no rows.
+///
+/// Truncate(stream, upto) is the HA queue-truncation hook: a logical floor
+/// persisted in a meta file so a recovered store neither resurrects
+/// confirmed records nor reuses their sequence numbers.
 ///
 /// Open() recovers from whatever the StorageFs holds: page headers rebuild
 /// the page index, AOF segments are scanned tolerantly (a torn tail — crash
@@ -156,6 +161,9 @@ class TieredStore {
     std::deque<MemRecord> records;
     size_t bytes = 0;
   };
+  /// Checksum state of a page, settled on its first read (pages are
+  /// immutable, so a verdict holds for the page's lifetime).
+  enum class PageCheck : uint8_t { kUnverified, kVerified, kCorrupt };
   struct PageInfo {
     std::string path;
     std::string stream;
@@ -165,6 +173,9 @@ class TieredStore {
     int64_t min_ts = 0;
     int64_t max_ts = 0;
     uint64_t bytes = 0;
+    uint32_t checksum = 0;     ///< FNV-1a over the page after this field
+    uint32_t body_offset = 0;  ///< first record byte (header length)
+    PageCheck check = PageCheck::kUnverified;
   };
 
   std::string SegmentPath(uint64_t n) const;
@@ -177,19 +188,14 @@ class TieredStore {
   void EvictMemstore();
   void PersistMeta();
   void LoadMeta();
-  /// Decodes a segment's records, stopping at the first malformed frame
-  /// (torn tail). Returns bytes of clean data consumed.
-  size_t DecodeSegment(const std::vector<uint8_t>& data,
-                       const std::function<void(StoredRecord)>& fn) const;
-  Result<PageInfo> ReadPageHeader(const std::string& path,
-                                  std::vector<uint8_t>* data) const;
+  Result<PageInfo> ReadPageHeader(const std::string& path) const;
+  /// True when the page's checksum matches `bytes` (its full content);
+  /// the first call settles info->check, a corrupt page is counted and
+  /// logged once.
+  bool PageIntact(PageInfo* info, const std::vector<uint8_t>& bytes);
   size_t ScanRange(const std::string& stream, uint64_t min_seq,
                    uint64_t max_seq, int64_t min_ts, int64_t max_ts,
                    const std::function<void(const StoredRecord&)>& fn);
-  void EmitFromPages(const std::string& stream, uint64_t min_seq,
-                     uint64_t max_seq, int64_t min_ts, int64_t max_ts,
-                     uint64_t* last_emitted, size_t* emitted,
-                     const std::function<void(const StoredRecord&)>& fn);
   bool RecordLive(const StreamState& ss, uint64_t seq) const {
     return seq > ss.floor;
   }
@@ -200,7 +206,7 @@ class TieredStore {
   TieredStoreOptions opts_;
   bool opened_ = false;
 
-  std::map<std::string, StreamState> streams_;
+  std::map<std::string, StreamState, std::less<>> streams_;
   std::map<std::string, MemStream> mem_;
   size_t mem_bytes_ = 0;
   size_t mem_records_ = 0;

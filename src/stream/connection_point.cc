@@ -147,48 +147,54 @@ void ConnectionPoint::EnforceRetention(SimTime now) {
 size_t ConnectionPoint::QueryHistory(
     const std::function<bool(const Tuple&)>& filter,
     const std::function<void(const Tuple&)>& sink) const {
-  if (!storage_bound()) {
-    size_t matched = 0;
-    for (const auto& t : history_) {
-      if (filter(t)) {
-        sink(t);
-        ++matched;
-      }
-    }
-    return matched;
-  }
-  // Walk the durable index oldest-first; the memory cache is the newest
-  // suffix, everything before it is read back from the store.
-  size_t matched = 0;
-  const size_t mem_start = durable_index_.size() - history_.size();
-  for (size_t i = 0; i < durable_index_.size(); ++i) {
-    if (i >= mem_start) {
-      const Tuple& t = history_[i - mem_start];
-      if (filter(t)) {
-        sink(t);
-        ++matched;
-      }
-      continue;
-    }
-    auto rec = store_->Read(stream_, durable_index_[i].first);
-    if (!rec.ok()) {
-      AURORA_LOG(Error) << "cp '" << name_ << "': history readback failed: "
-                        << rec.status().ToString();
-      continue;
-    }
-    Decoder dec(rec->payload);
-    auto t = dec.GetTuple(schema_);
-    if (!t.ok()) {
-      AURORA_LOG(Error) << "cp '" << name_ << "': history decode failed: "
-                        << t.status().ToString();
-      continue;
-    }
-    if (filter(*t)) {
-      sink(*t);
+  std::vector<Tuple> replayed;
+  if (storage_bound()) ReplayFromStore(filter, &replayed);
+  for (const Tuple& t : replayed) sink(t);
+  size_t matched = replayed.size();
+  for (const Tuple& t : history_) {
+    if (filter(t)) {
+      sink(t);
       ++matched;
     }
   }
   return matched;
+}
+
+void ConnectionPoint::ReplayFromStore(
+    const std::function<bool(const Tuple&)>& filter,
+    std::vector<Tuple>* matched) const {
+  // The memory cache is the newest suffix of the durable index; everything
+  // before it is read back in one ordered store scan, walked against the
+  // index so a record the scan does not produce is reported, not skipped
+  // silently.
+  const size_t mem_start = durable_index_.size() - history_.size();
+  if (mem_start == 0) return;
+  size_t next = 0;  // index position the scan should produce next
+  auto report_missing = [&](size_t upto) {
+    for (; next < upto; ++next) {
+      AURORA_LOG(Error) << "cp '" << name_ << "': history readback failed: "
+                        << "storage: record " << durable_index_[next].first
+                        << " on stream '" << stream_ << "' unreadable";
+    }
+  };
+  store_->Scan(
+      stream_, durable_index_.front().first,
+      durable_index_[mem_start - 1].first, [&](const StoredRecord& rec) {
+        size_t at = next;
+        while (at < mem_start && durable_index_[at].first < rec.seq) ++at;
+        if (at == mem_start || durable_index_[at].first != rec.seq) return;
+        report_missing(at);
+        next = at + 1;
+        Decoder dec(rec.payload);
+        auto t = dec.GetTuple(schema_);
+        if (!t.ok()) {
+          AURORA_LOG(Error) << "cp '" << name_ << "': history decode failed: "
+                            << t.status().ToString();
+          return;
+        }
+        if (filter(*t)) matched->push_back(std::move(*t));
+      });
+  report_missing(mem_start);
 }
 
 void ConnectionPoint::LoadHistory(std::vector<Tuple> tuples) {

@@ -71,7 +71,8 @@ class ConnectionPoint {
   /// Runs an ad hoc query over retained history: every stored tuple matching
   /// the filter is passed to `sink`, oldest first. This is the "ad hoc query
   /// attached at a connection point" path. In tiered mode records older than
-  /// the memory cache are read back from the store.
+  /// the memory cache are read back from the store in one ordered scan, and
+  /// `sink` sees them once that scan has returned.
   size_t QueryHistory(const std::function<bool(const Tuple&)>& filter,
                       const std::function<void(const Tuple&)>& sink) const;
 
@@ -109,6 +110,11 @@ class ConnectionPoint {
 
  private:
   void EnforceRetention(SimTime now);
+  /// Tiered mode: decodes the store-resident part of the history (the
+  /// durable index before the memory cache) and appends the tuples passing
+  /// `filter` to `matched`, oldest first.
+  void ReplayFromStore(const std::function<bool(const Tuple&)>& filter,
+                       std::vector<Tuple>* matched) const;
   void AppendToStore(const Tuple& t);
   /// Trims the memory cache to `mem_tuples_` (tiered mode only).
   void TrimMemoryCache();

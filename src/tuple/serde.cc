@@ -116,11 +116,22 @@ Result<double> Decoder::GetDouble() {
 }
 
 Result<std::string> Decoder::GetString() {
+  AURORA_ASSIGN_OR_RETURN(std::string_view s, GetStringView());
+  return std::string(s);
+}
+
+Result<std::string_view> Decoder::GetStringView() {
   AURORA_ASSIGN_OR_RETURN(uint32_t len, GetU32());
   AURORA_RETURN_NOT_OK(Need(len));
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+  std::string_view s(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
   return s;
+}
+
+Status Decoder::Skip(size_t n) {
+  AURORA_RETURN_NOT_OK(Need(n));
+  pos_ += n;
+  return Status::OK();
 }
 
 Result<Value> Decoder::GetValue() {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -33,6 +34,9 @@ class Encoder {
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v);
   void PutString(const std::string& s);
+  void PutBytes(const uint8_t* data, size_t n) {
+    buf_.insert(buf_.end(), data, data + n);
+  }
 
   void PutValue(const Value& v);
   void PutTuple(const Tuple& t);
@@ -63,6 +67,10 @@ class Decoder {
   Result<int64_t> GetI64();
   Result<double> GetDouble();
   Result<std::string> GetString();
+  /// GetString without the copy: the view aliases the decoded buffer.
+  Result<std::string_view> GetStringView();
+  /// Advances past `n` bytes.
+  Status Skip(size_t n);
 
   Result<Value> GetValue();
   /// Decodes a tuple; the schema is attached but not re-validated per tuple.

@@ -9,6 +9,7 @@
 #include "storage/tiered_store.h"
 #include "stream/stream_queue.h"
 #include "tests/test_util.h"
+#include "tuple/serde.h"
 
 namespace aurora {
 namespace {
@@ -155,6 +156,48 @@ TEST_F(SpillStorageTest, SpillsLargestQueueFirst) {
   sm.EnforceBudget({{&small, 1}, {&big, 2}});
   EXPECT_EQ(small.spilled_count(), 0u);
   EXPECT_GT(big.spilled_count(), 0u);
+}
+
+TEST_F(SpillStorageTest, ReadbackScansAheadInsteadOfReadingPerTuple) {
+  MemStorageFs fs;
+  TieredStoreOptions sopts;
+  sopts.mem_budget_bytes = 256;    // a handful of records stay cached
+  sopts.aof_segment_bytes = 2048;  // the rest spread over pages + segments
+  TieredStore store(&fs, sopts);
+  ASSERT_OK(store.Open());
+
+  StreamQueue q;
+  const uint64_t kN = 300;
+  std::vector<std::vector<uint8_t>> originals;
+  for (uint64_t i = 1; i <= kN; ++i) {
+    Tuple t = MakeT(static_cast<int64_t>(i), static_cast<int64_t>(i * 7), i);
+    Encoder enc;
+    enc.PutTuple(t);
+    originals.push_back(enc.TakeBuffer());
+    q.Push(std::move(t));
+  }
+  StorageManager sm(1);
+  sm.set_scope("ra");
+  sm.AttachStore(&store);
+  sm.EnforceBudget({{&q, 2}});
+  for (int i = 0; i < 10; ++i) store.Tick(SimTime::Millis(i));
+  const size_t n_spilled = q.spilled_count();
+  ASSERT_GT(n_spilled, 128u);
+  ASSERT_GT(store.num_pages(), 0u);
+
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const uint64_t reads0 = reg.CounterValue("storage.reads");
+  for (uint64_t i = 1; i <= kN; ++i) {
+    Tuple t = q.Pop();
+    ASSERT_EQ(t.seq(), i);  // FIFO
+    ASSERT_NE(t.schema(), nullptr) << "seq " << i;
+    Encoder enc;
+    enc.PutTuple(t);
+    EXPECT_EQ(enc.buffer(), originals[i - 1]) << "seq " << i;
+  }
+  // One store scan per kReadAhead (64) spilled tuples, not one per tuple.
+  EXPECT_LE(reg.CounterValue("storage.reads") - reads0, (n_spilled + 63) / 64);
+  EXPECT_EQ(store.live_records("spill/ra/arc2"), 0u);
 }
 
 }  // namespace

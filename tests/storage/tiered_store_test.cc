@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "storage/storage_fs.h"
 #include "tests/test_util.h"
+#include "tuple/serde.h"
 
 namespace aurora {
 namespace {
@@ -258,6 +259,60 @@ TEST_F(TieredStoreTest, GaugesAndCountersTrackOccupancy) {
             reg.GetGauge("storage.t1.mem.bytes")->value());
   EXPECT_EQ(static_cast<double>(store.num_pages()),
             reg.GetGauge("storage.t1.page.files")->value());
+}
+
+TEST_F(TieredStoreTest, CorruptPageServesNoRowsAndIsCountedOnce) {
+  MemStorageFs fs;
+  TieredStoreOptions opts;
+  opts.mem_budget_bytes = 64;
+  opts.aof_segment_bytes = 256;
+  TieredStore store(&fs, opts);
+  ASSERT_OK(store.Open());
+  const int kN = 40;
+  for (int i = 1; i <= kN; ++i) {
+    Put(&store, "s", i);
+    if (i % 8 == 0) store.Tick(SimTime::Millis(i));  // one page per tick
+  }
+  ASSERT_OK(store.Flush());
+  ASSERT_GT(store.num_pages(), 1u);
+
+  // Restart, then flip one record byte of the first page behind the
+  // store's back. The page header names the records it holds.
+  store.Crash();
+  ASSERT_OK(store.Open());
+  const std::string page = fs.List("page/").front();
+  auto bytes = fs.ReadFile(page);
+  ASSERT_OK(bytes.status());
+  Decoder header(*bytes);
+  // magic, version, checksum
+  for (int i = 0; i < 3; ++i) ASSERT_OK(header.GetU32().status());
+  ASSERT_OK(header.GetString().status());
+  ASSERT_OK(header.GetU32().status());
+  auto min_seq = header.GetU64();
+  auto max_seq = header.GetU64();
+  ASSERT_OK(min_seq.status());
+  ASSERT_OK(max_seq.status());
+  bytes->back() ^= 0x01;
+  ASSERT_OK(fs.WriteFileAtomic(page, *bytes));
+
+  // The page's records are absent, never served with the flipped byte;
+  // every other record still reads back intact.
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<uint64_t> seqs;
+    store.ScanAll("s", [&](const StoredRecord& r) {
+      seqs.push_back(r.seq);
+      EXPECT_EQ(r.payload, Payload(static_cast<int>(r.seq)));
+    });
+    std::vector<uint64_t> want;
+    for (uint64_t seq = 1; seq <= static_cast<uint64_t>(kN); ++seq) {
+      if (seq < *min_seq || seq > *max_seq) want.push_back(seq);
+    }
+    EXPECT_EQ(seqs, want) << "pass " << pass;
+  }
+  EXPECT_FALSE(store.Read("s", *max_seq).ok());
+  // Counted once: the verdict is cached with the page, not re-derived.
+  EXPECT_EQ(MetricsRegistry::Global().CounterValue("storage.pages.corrupt"),
+            1u);
 }
 
 }  // namespace
