@@ -109,24 +109,30 @@ int main(int argc, char** argv) {
       aurora::ScenarioSpec spec = aurora::GenerateScenario(s);
       aurora::ThreadedCheckReport report =
           aurora::RunThreadedScenario(spec, threaded);
+      // stdout carries only what the determinism contract fixes, so the
+      // digest is byte-identical across worker counts and runs; the
+      // scheduling counters go to stderr.
       if (digest) {
         std::fprintf(stdout, "seed %llu\n",
                      static_cast<unsigned long long>(s));
         std::fputs(report.Summary().c_str(), stdout);
+        std::fprintf(stderr, "seed %llu %s",
+                     static_cast<unsigned long long>(s),
+                     report.SchedulingStats().c_str());
       }
       if (!report.ok()) {
         std::fprintf(stdout, "simcheck: seed %llu FAILED (threaded)\n",
                      static_cast<unsigned long long>(s));
         std::fputs(report.Summary().c_str(), stdout);
+        std::fputs(report.SchedulingStats().c_str(), stderr);
         return 1;
       }
     }
-    std::fprintf(stdout,
-                 "simcheck: %d threaded runs clean (%d workers, seeds "
-                 "%llu..%llu)\n",
-                 runs, threaded, static_cast<unsigned long long>(seed),
+    std::fprintf(stdout, "simcheck: %d threaded runs clean (seeds %llu..%llu)\n",
+                 runs, static_cast<unsigned long long>(seed),
                  static_cast<unsigned long long>(
                      seed + static_cast<uint64_t>(runs) - 1));
+    std::fprintf(stderr, "simcheck: %d workers\n", threaded);
     return 0;
   }
 

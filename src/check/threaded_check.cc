@@ -93,14 +93,8 @@ Status DeployQueryThreaded(ThreadedEngine* engine, const GlobalQuery& query) {
 }  // namespace
 
 std::string ThreadedCheckReport::Summary() const {
-  // The `workers=` line carries scheduling-dependent stats (activations
-  // shrink under batching; steals vary run to run) — digest consumers that
-  // compare across configurations filter it and diff the content-hashed
-  // `output` lines.
   std::ostringstream os;
-  os << "workers=" << workers << " injected=" << injected
-     << " activations=" << activations << " steals=" << steals
-     << " ring_full=" << ring_full_events << "\n";
+  os << "injected=" << injected << "\n";
   for (const auto& [name, rows] : outputs) {
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%016llx",
@@ -112,6 +106,13 @@ std::string ThreadedCheckReport::Summary() const {
   for (const std::string& v : violations) {
     os << "violation " << v << "\n";
   }
+  return os.str();
+}
+
+std::string ThreadedCheckReport::SchedulingStats() const {
+  std::ostringstream os;
+  os << "workers=" << workers << " activations=" << activations
+     << " steals=" << steals << " ring_full=" << ring_full_events << "\n";
   return os.str();
 }
 

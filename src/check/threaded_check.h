@@ -27,7 +27,13 @@ struct ThreadedCheckReport {
   std::map<std::string, std::vector<std::string>> oracle_outputs;
 
   bool ok() const { return violations.empty(); }
+  /// Digest text: injected count, per-output rows + hash, violations. It
+  /// leaves out the worker count and scheduling counters, so it is
+  /// byte-identical across worker counts and from run to run.
   std::string Summary() const;
+  /// The scheduling-dependent counters (workers, activations, steals,
+  /// ring_full) on one line; they vary with thread timing.
+  std::string SchedulingStats() const;
 };
 
 /// Deploys the scenario's query onto a ThreadedEngine with `workers`

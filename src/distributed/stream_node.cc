@@ -12,7 +12,122 @@ namespace aurora {
 
 namespace {
 constexpr double kUtilizationWindowS = 0.25;
+
+/// A restored halog record must decode to a tuple of the log's schema:
+/// replaying one of another shape would hand operators values they cannot
+/// read.
+Status ConformsToSchema(const Tuple& t, const SchemaPtr& schema) {
+  if (schema == nullptr) return Status::OK();
+  if (t.num_values() != schema->num_fields()) {
+    return Status::InvalidArgument(
+        "record has " + std::to_string(t.num_values()) + " values, schema " +
+        std::to_string(schema->num_fields()) + " fields");
+  }
+  for (size_t i = 0; i < t.num_values(); ++i) {
+    const Value& v = t.value(i);
+    if (!v.is_null() && v.type() != schema->field(i).type) {
+      return Status::InvalidArgument("record value " + std::to_string(i) +
+                                     " does not match field '" +
+                                     schema->field(i).name + "'");
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
+
+// ---- OutputLog ---------------------------------------------------------------
+
+void OutputLog::Append(const Tuple& t, SeqNo lineage) {
+  if (t.schema() != nullptr && t.schema() != schema_) schema_ = t.schema();
+  Encoder enc(std::move(scratch_));
+  enc.PutTuple(t);
+  enc.PutU64(lineage);
+  AppendRecord(t.seq(), lineage, enc.buffer());
+  scratch_ = enc.TakeBuffer();
+}
+
+void OutputLog::AppendRecord(SeqNo seq, SeqNo lineage,
+                             std::span<const uint8_t> record) {
+  if (chunks_.empty() ||
+      chunks_.back().size() + record.size() > chunks_.back().capacity()) {
+    // Allocated on first use: binding a stream reserves nothing.
+    if (!chunks_.empty() && chunks_.back().empty()) {
+      chunks_.back().reserve(std::max(kChunkBytes, record.size()));
+    } else {
+      chunks_.emplace_back().reserve(std::max(kChunkBytes, record.size()));
+    }
+  }
+  std::vector<uint8_t>& chunk = chunks_.back();
+  entries_.push_back(Entry{
+      seq, lineage,
+      first_chunk_ + static_cast<uint32_t>(chunks_.size() - 1),
+      static_cast<uint32_t>(chunk.size())});
+  chunk.insert(chunk.end(), record.begin(), record.end());
+}
+
+std::span<const uint8_t> OutputLog::Record(size_t i) const {
+  const Entry& e = entries_[i];
+  const std::vector<uint8_t>& chunk = chunks_[e.chunk - first_chunk_];
+  const size_t end = i + 1 < entries_.size() && entries_[i + 1].chunk == e.chunk
+                         ? entries_[i + 1].offset
+                         : chunk.size();
+  return {chunk.data() + e.offset, end - e.offset};
+}
+
+size_t OutputLog::TruncateUpTo(SeqNo upto) {
+  size_t dropped = 0;
+  while (!entries_.empty() && entries_.front().seq <= upto) {
+    entries_.pop_front();
+    ++dropped;
+  }
+  if (dropped == 0) return 0;
+  if (entries_.empty()) {
+    // Keep the newest chunk's storage for the next append.
+    while (chunks_.size() > 1) {
+      chunks_.pop_front();
+      ++first_chunk_;
+    }
+    if (!chunks_.empty()) chunks_.back().clear();
+    return dropped;
+  }
+  while (first_chunk_ < entries_.front().chunk) {
+    chunks_.pop_front();
+    ++first_chunk_;
+  }
+  return dropped;
+}
+
+void OutputLog::Clear() {
+  entries_.clear();
+  chunks_.clear();
+  first_chunk_ = 0;
+}
+
+std::vector<Tuple> OutputLog::Decode() const {
+  std::vector<Tuple> out;
+  out.reserve(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    std::span<const uint8_t> rec = Record(i);
+    Decoder dec(rec.data(), rec.size());
+    auto t = dec.GetTuple(schema_);
+    // Every record was encoded here or checked when it was restored.
+    AURORA_CHECK(t.ok()) << t.status().ToString();
+    out.push_back(*std::move(t));
+  }
+  return out;
+}
+
+SeqNo OutputLog::MinLineage() const {
+  SeqNo min_seq = kNoSeqNo;
+  for (const Entry& e : entries_) {
+    if (e.lineage != kNoSeqNo && (min_seq == kNoSeqNo || e.lineage < min_seq)) {
+      min_seq = e.lineage;
+    }
+  }
+  return min_seq;
+}
+
+// ---- StreamNode --------------------------------------------------------------
 
 StreamNode::StreamNode(Simulation* sim, OverlayNetwork* net, NodeId id,
                        EngineOptions engine_opts,
@@ -51,20 +166,27 @@ Status StreamNode::RecoverDurableState() {
   for (auto& [name, binding] : bindings_) {
     if (!binding.retain_log) continue;
     const std::string stream = "halog/" + binding.stream;
-    binding.output_log.clear();
+    OutputLog& log = binding.output_log;
+    log.Clear();
     std::vector<Tuple> replay;
     store_->ScanAll(stream, [&](const StoredRecord& rec) {
+      // The stored payload is the log record itself; it enters the log
+      // only if it decodes to a tuple of the log's schema.
       Decoder dec(rec.payload);
-      auto t = dec.GetTuple(binding.log_schema);
-      if (!t.ok()) {
-        AURORA_LOG(Error) << "node " << id_ << ": halog decode failed: "
-                          << t.status().ToString();
+      auto t = dec.GetTuple(log.schema());
+      Status st = t.ok() ? ConformsToSchema(*t, log.schema()) : t.status();
+      if (!st.ok()) {
+        // Registered on first use: healthy runs never create the series.
+        MetricsRegistry::Global().GetCounter("storage.halog.rejected")->Add();
+        AURORA_LOG(Error) << "node " << id_
+                          << ": halog decode failed: " << st.ToString();
         return;
       }
       auto lineage = dec.GetU64();
-      binding.output_log.push_back(
-          LogEntry{*t, lineage.ok() ? static_cast<SeqNo>(*lineage) : kNoSeqNo});
-      replay.push_back(std::move(*t));
+      log.AppendRecord(t->seq(),
+                       lineage.ok() ? static_cast<SeqNo>(*lineage) : kNoSeqNo,
+                       rec.payload);
+      replay.push_back(*std::move(t));
     });
     // next_seq survives in the store meta even when the whole log has been
     // truncated away — reusing sequence numbers after a restart would make
@@ -442,8 +564,9 @@ void StreamNode::FlushPending() {
         bytes += binding.pending[n].WireSize();
         ++n;
       }
-      std::vector<Tuple> batch(binding.pending.begin(),
-                               binding.pending.begin() + n);
+      std::vector<Tuple>& batch = send_batch_;
+      batch.assign(std::make_move_iterator(binding.pending.begin()),
+                   std::make_move_iterator(binding.pending.begin() + n));
       binding.pending.erase(binding.pending.begin(),
                             binding.pending.begin() + n);
       if (binding.blocked_since_us >= 0) {
@@ -460,30 +583,30 @@ void StreamNode::FlushPending() {
         }
         binding.blocked_since_us = -1;
       }
+      OutputLog& log = binding.output_log;
+      const size_t logged_from = log.size();
       for (auto& t : batch) {
         SeqNo lineage = t.seq();  // in the incoming stream's space
         t.set_seq(binding.next_seq++);
-        if (binding.retain_log) {
-          binding.output_log.push_back(LogEntry{t, lineage});
-          if (store_ != nullptr) {
-            // Mirror the retained entry to the durable halog stream, keyed
-            // by the binding's own sequence number (AppendWithSeq), so a
-            // recovered node can rebuild and replay this exact log.
-            if (t.schema() != nullptr) binding.log_schema = t.schema();
-            Encoder enc(std::move(halog_scratch_));
-            enc.PutTuple(t);
-            enc.PutU64(lineage);
-            Status st = store_->AppendWithSeq(
-                "halog/" + binding.stream, t.seq(), t.timestamp().micros(),
-                enc.buffer().data(), enc.size());
-            halog_scratch_ = enc.TakeBuffer();
-            if (st.ok()) {
-              m_halog_appends_->Add();
-            } else {
-              AURORA_LOG(Error) << "node " << id_ << ": halog append failed: "
-                                << st.ToString();
-            }
-          }
+        if (binding.retain_log) log.Append(t, lineage);
+      }
+      if (binding.retain_log && store_ != nullptr) {
+        // Mirror the chunk's log records to the durable halog stream in one
+        // append, keyed by the binding's own sequence numbers, so a
+        // recovered node can rebuild and replay this exact log.
+        halog_batch_.clear();
+        for (size_t i = logged_from; i < log.size(); ++i) {
+          halog_batch_.push_back(
+              {log.entries()[i].seq,
+               batch[i - logged_from].timestamp().micros(), log.Record(i)});
+        }
+        Status st =
+            store_->AppendBatchWithSeq("halog/" + binding.stream, halog_batch_);
+        if (st.ok()) {
+          m_halog_appends_->Add(halog_batch_.size());
+        } else {
+          AURORA_LOG(Error) << "node " << id_ << ": halog append failed: "
+                            << st.ToString();
         }
       }
       binding.tuples_sent += batch.size();
@@ -497,6 +620,7 @@ void StreamNode::FlushPending() {
         AURORA_LOG(Error) << "node " << id_
                           << ": send failed: " << st.ToString();
       }
+      batch.clear();  // the bodies die here, still in cache
     }
   }
   if (flow_enabled()) UpdateFlowBlocked();
@@ -515,7 +639,7 @@ size_t StreamNode::Crash() {
     lost += binding.pending.size();
     lost += binding.output_log.size();
     binding.pending.clear();
-    binding.output_log.clear();
+    binding.output_log.Clear();
   }
   last_received_.clear();
   stream_dedup_watermark_.clear();
@@ -554,11 +678,7 @@ size_t StreamNode::TruncateOutputLog(const std::string& stream, SeqNo upto) {
   size_t discarded = 0;
   for (auto& [name, binding] : bindings_) {
     if (binding.stream != stream) continue;
-    while (!binding.output_log.empty() &&
-           binding.output_log.front().tuple.seq() <= upto) {
-      binding.output_log.pop_front();
-      ++discarded;
-    }
+    discarded += binding.output_log.TruncateUpTo(upto);
   }
   if (store_ != nullptr && discarded > 0) {
     // Confirmed entries are dead durably too (§6.2 queue truncation).
@@ -570,12 +690,7 @@ size_t StreamNode::TruncateOutputLog(const std::string& stream, SeqNo upto) {
 std::vector<Tuple> StreamNode::OutputLogSnapshot(
     const std::string& stream) const {
   for (const auto& [name, binding] : bindings_) {
-    if (binding.stream == stream) {
-      std::vector<Tuple> out;
-      out.reserve(binding.output_log.size());
-      for (const auto& e : binding.output_log) out.push_back(e.tuple);
-      return out;
-    }
+    if (binding.stream == stream) return binding.output_log.Decode();
   }
   return {};
 }
@@ -587,7 +702,7 @@ SeqNo StreamNode::UnconfirmedOutputMinLineage() const {
     if (min_seq == kNoSeqNo || s < min_seq) min_seq = s;
   };
   for (const auto& [name, binding] : bindings_) {
-    for (const auto& e : binding.output_log) consider(e.lineage);
+    consider(binding.output_log.MinLineage());
     for (const auto& t : binding.pending) consider(t.seq());
   }
   return min_seq;

@@ -4,14 +4,79 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "engine/aurora_engine.h"
 #include "net/transport.h"
 #include "sim/simulation.h"
+#include "storage/tiered_store.h"
 
 namespace aurora {
+
+/// \brief The retained HA output log of one remote binding (upstream
+/// backup, §6.2 / Fig. 8), kept as bytes.
+///
+/// Each entry is the record the durable "halog/<stream>" mirror stores:
+/// `PutTuple(t)` followed by `PutU64(lineage)`, where lineage is the
+/// sequence number (in the space of the node's *incoming* stream) of the
+/// earliest input tuple the sent tuple was derived from. Records are packed
+/// into fixed-size chunks and found through a compact (seq, lineage,
+/// location) index, so a retained entry pins no tuple body. Truncation
+/// frees whole chunks; tuples are decoded only when a reader asks for them
+/// (recovery replay, durable restore).
+class OutputLog {
+ public:
+  /// Chunk capacity; a record larger than this gets a chunk of its own.
+  static constexpr size_t kChunkBytes = 64 * 1024;
+
+  struct Entry {
+    SeqNo seq = kNoSeqNo;      ///< the binding's outgoing sequence number
+    SeqNo lineage = kNoSeqNo;  ///< earliest incoming seq it depends on
+    uint32_t chunk = 0;        ///< absolute chunk number
+    uint32_t offset = 0;       ///< record start within the chunk
+  };
+
+  bool empty() const { return entries_.empty(); }
+  size_t size() const { return entries_.size(); }
+  const std::deque<Entry>& entries() const { return entries_; }
+  /// Chunks currently allocated (introspection for tests).
+  size_t num_chunks() const { return chunks_.size(); }
+
+  /// Encodes `t` (its seq() is the outgoing sequence number) and appends
+  /// it with its lineage. A non-null schema becomes the log's schema.
+  void Append(const Tuple& t, SeqNo lineage);
+  /// Appends an already-encoded record (PutTuple + PutU64 lineage bytes).
+  void AppendRecord(SeqNo seq, SeqNo lineage, std::span<const uint8_t> record);
+  /// The encoded bytes of entry `i`.
+  std::span<const uint8_t> Record(size_t i) const;
+
+  /// Drops leading entries with seq <= `upto` (§6.2 queue truncation) and
+  /// frees every chunk no remaining entry lives in. Returns how many
+  /// entries were dropped.
+  size_t TruncateUpTo(SeqNo upto);
+  /// Drops every entry (crash). The schema is configuration, not data, so
+  /// it survives and decodes the durable log during recovery.
+  void Clear();
+
+  /// Decodes every entry, oldest first, with the log's schema.
+  std::vector<Tuple> Decode() const;
+  /// Smallest lineage over the entries (kNoSeqNo lineages are skipped);
+  /// kNoSeqNo when there is none.
+  SeqNo MinLineage() const;
+
+  const SchemaPtr& schema() const { return schema_; }
+
+ private:
+  std::deque<Entry> entries_;
+  /// Live chunks; chunks_[i] is absolute chunk first_chunk_ + i. A chunk's
+  /// size() is its used bytes, its capacity is reserved once.
+  std::deque<std::vector<uint8_t>> chunks_;
+  uint32_t first_chunk_ = 0;
+  SchemaPtr schema_;
+  std::vector<uint8_t> scratch_;  // encode buffer recycled across appends
+};
 
 /// \brief One Aurora server in the distributed system: an AuroraEngine
 /// bound to a simulated node's CPU and links.
@@ -163,15 +228,6 @@ class StreamNode {
 
   // ---- HA hooks (used by src/ha) ------------------------------------------
 
-  /// A retained sent tuple plus its lineage: the sequence number (in the
-  /// space of this node's *incoming* stream) of the earliest input tuple it
-  /// was derived from. Lineage is what cascaded truncation reports upstream
-  /// ("tuples whose values got determined directly or indirectly", §6.2).
-  struct LogEntry {
-    Tuple tuple;        // seq() is this stream's outgoing sequence number
-    SeqNo lineage = kNoSeqNo;
-  };
-
   struct RemoteBinding {
     PortId output_port = -1;
     StreamNode* dst = nullptr;
@@ -182,12 +238,11 @@ class StreamNode {
     /// increasing, per stream).
     SeqNo next_seq = 1;
     /// When true, sent tuples are retained in `output_log` until the
-    /// downstream confirms them processed (upstream backup, Fig. 8).
+    /// downstream confirms them processed (upstream backup, Fig. 8). Each
+    /// entry's lineage is what cascaded truncation reports upstream
+    /// ("tuples whose values got determined directly or indirectly", §6.2).
     bool retain_log = false;
-    std::deque<LogEntry> output_log;
-    /// Schema of the logged tuples; configuration (not data), so it
-    /// survives Crash() and decodes the durable log during recovery.
-    SchemaPtr log_schema;
+    OutputLog output_log;
     std::vector<Tuple> pending;  // emitted this step, not yet sent
     /// When the pending buffer first hit a credit-blocked stream (-1 =
     /// not blocked). Tuples sent after a blocked spell get a kCreditWait
@@ -205,7 +260,7 @@ class StreamNode {
   /// later failure of the destination could lose the migrated open-window
   /// contents.
   struct BindingContinuity {
-    std::deque<LogEntry> output_log;
+    OutputLog output_log;
     SeqNo next_seq = 1;
   };
   Result<BindingContinuity> SnapshotBindingContinuity(
@@ -221,7 +276,7 @@ class StreamNode {
   /// Discards logged tuples with seq <= `upto` on the stream (§6.2 queue
   /// truncation). Returns how many were discarded.
   size_t TruncateOutputLog(const std::string& stream, SeqNo upto);
-  /// Tuples currently retained on the stream's output log.
+  /// Tuples currently retained on the stream's output log, decoded.
   std::vector<Tuple> OutputLogSnapshot(const std::string& stream) const;
   size_t OutputLogSize(const std::string& stream) const;
   /// Smallest lineage over all retained + pending tuples of every binding:
@@ -289,7 +344,10 @@ class StreamNode {
   std::vector<Tuple> decode_scratch_;
   DeliveryProbe delivery_probe_;
   TieredStore* store_ = nullptr;
-  std::vector<uint8_t> halog_scratch_;
+  /// Per-flush scratch: one sent chunk moved out of a binding's pending
+  /// buffer, and its halog mirror records (views into the output log).
+  std::vector<Tuple> send_batch_;
+  std::vector<TieredStore::SeqRecord> halog_batch_;
   uint64_t dup_tuples_dropped_ = 0;
   bool retain_logs_ = false;
   bool step_scheduled_ = false;

@@ -138,61 +138,91 @@ std::string TieredStore::PagePath(uint64_t n) const {
 uint64_t TieredStore::Append(const std::string& stream, int64_t timestamp_us,
                              const uint8_t* payload, size_t n) {
   StreamState& ss = streams_[stream];
-  uint64_t seq = ss.next_seq++;
-  AppendRecord(stream, seq, timestamp_us, payload, n);
-  return seq;
+  const SeqRecord rec{ss.next_seq++, timestamp_us, {payload, n}};
+  AppendFrames(stream, {&rec, 1});
+  return rec.seq;
 }
 
 Status TieredStore::AppendWithSeq(const std::string& stream, uint64_t seq,
                                   int64_t timestamp_us, const uint8_t* payload,
                                   size_t n) {
+  const SeqRecord rec{seq, timestamp_us, {payload, n}};
+  return AppendBatchWithSeq(stream, {&rec, 1});
+}
+
+Status TieredStore::AppendBatchWithSeq(const std::string& stream,
+                                       std::span<const SeqRecord> records) {
+  if (records.empty()) return Status::OK();
   StreamState& ss = streams_[stream];
-  if (seq < ss.next_seq) {
-    return Status::InvalidArgument("append seq " + std::to_string(seq) +
-                                   " below stream '" + stream + "' next " +
-                                   std::to_string(ss.next_seq));
+  uint64_t next = ss.next_seq;
+  for (const SeqRecord& r : records) {
+    if (r.seq < next) {
+      return Status::InvalidArgument("append seq " + std::to_string(r.seq) +
+                                     " below stream '" + stream + "' next " +
+                                     std::to_string(next));
+    }
+    next = r.seq + 1;
   }
-  ss.next_seq = seq + 1;
-  AppendRecord(stream, seq, timestamp_us, payload, n);
+  ss.next_seq = next;
+  AppendFrames(stream, records);
   return Status::OK();
 }
 
-void TieredStore::AppendRecord(const std::string& stream, uint64_t seq,
-                               int64_t ts_us, const uint8_t* payload,
-                               size_t n) {
-  // AOF frame: u32 body_len | u32 fnv1a(body) | body. The body carries the
-  // stream name so one log serializes every stream's appends in arrival
-  // order — exactly the total order recovery replays.
-  Encoder body;
-  body.PutString(stream);
-  body.PutU64(seq);
-  body.PutI64(ts_us);
-  body.PutU32(static_cast<uint32_t>(n));
-  Encoder frame;
-  frame.PutU32(static_cast<uint32_t>(body.size() + n));
-  // Chained FNV over header-then-payload equals one pass over the stored
-  // contiguous frame body, which is what ForEachFrame verifies.
-  uint32_t cksum = Fnv1a32(body.buffer().data(), body.size());
-  cksum = Fnv1a32(payload, n, cksum);
-  frame.PutU32(cksum);
+void TieredStore::AppendFrames(const std::string& stream,
+                               std::span<const SeqRecord> records) {
+  if (opts_.sync_every_append && records.size() > 1) {
+    // Every record is its own durability point.
+    for (const SeqRecord& r : records) AppendFrames(stream, {&r, 1});
+    return;
+  }
+  // AOF frame: u32 body_len | u32 fnv1a(body) | body, with body = string
+  // stream | u64 seq | i64 ts | u32 payload_len | payload. The body carries
+  // the stream name so one log serializes every stream's appends in arrival
+  // order — exactly the total order recovery replays. The name prefix, and
+  // the checksum state after it, are the same for every record of a run.
+  auto put_le = [](uint8_t* out, uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+  };
+  uint8_t name_len[4];
+  put_le(name_len, stream.size(), 4);
+  const uint32_t name_hash =
+      Fnv1a32(reinterpret_cast<const uint8_t*>(stream.data()), stream.size(),
+              Fnv1a32(name_len, 4));
+  frame_scratch_.clear();
+  for (const SeqRecord& r : records) {
+    const size_t n = r.payload.size();
+    uint8_t head[20];  // seq | ts | payload_len
+    put_le(head, r.seq, 8);
+    put_le(head + 8, static_cast<uint64_t>(r.timestamp_us), 8);
+    put_le(head + 16, n, 4);
+    uint8_t prefix[8];  // body_len | checksum
+    put_le(prefix, 4 + stream.size() + sizeof(head) + n, 4);
+    put_le(prefix + 4, Fnv1a32(r.payload.data(), n,
+                               Fnv1a32(head, sizeof(head), name_hash)),
+           4);
+    frame_scratch_.insert(frame_scratch_.end(), prefix, prefix + 8);
+    frame_scratch_.insert(frame_scratch_.end(), name_len, name_len + 4);
+    frame_scratch_.insert(frame_scratch_.end(), stream.begin(), stream.end());
+    frame_scratch_.insert(frame_scratch_.end(), head, head + sizeof(head));
+    frame_scratch_.insert(frame_scratch_.end(), r.payload.begin(),
+                          r.payload.end());
+  }
 
   if (active_segment_ == 0) {
     active_segment_ = next_segment_++;
     active_segment_size_ = 0;
   }
   const std::string path = SegmentPath(active_segment_);
-  Status st = fs_->Append(path, frame.buffer().data(), frame.size());
-  if (st.ok()) st = fs_->Append(path, body.buffer().data(), body.size());
-  if (st.ok() && n > 0) st = fs_->Append(path, payload, n);
+  Status st = fs_->Append(path, frame_scratch_.data(), frame_scratch_.size());
   if (!st.ok()) {
     AURORA_LOG(Error) << "storage: AOF append failed: " << st.ToString();
   }
-  size_t frame_bytes = frame.size() + body.size() + n;
+  const size_t frame_bytes = frame_scratch_.size();
   active_segment_size_ += frame_bytes;
   aof_bytes_ += frame_bytes;
   unsynced_bytes_ += frame_bytes;
-  if (oldest_unsynced_us_ < 0) oldest_unsynced_us_ = ts_us;
-  m_appends_->Add();
+  if (oldest_unsynced_us_ < 0) oldest_unsynced_us_ = records.front().timestamp_us;
+  m_appends_->Add(records.size());
   m_append_bytes_->Add(frame_bytes);
   if (opts_.sync_every_append) {
     Status sync = fs_->Sync(path);
@@ -203,15 +233,30 @@ void TieredStore::AppendRecord(const std::string& stream, uint64_t seq,
     }
   }
 
-  MemStream& ms = mem_[stream];
-  size_t mem_sz = n + sizeof(MemRecord);
-  ms.records.push_back(
-      MemRecord{seq, ts_us, std::vector<uint8_t>(payload, payload + n)});
-  ms.bytes += mem_sz;
-  mem_bytes_ += mem_sz;
-  mem_records_++;
-  if (opts_.mem_budget_bytes > 0 && mem_bytes_ > opts_.mem_budget_bytes) {
-    EvictMemstore();
+  // Cache each record, evicting after each one as a one-record append
+  // would; the memstore gauges are raised to the run's peak so their
+  // high-water marks match per-record appends too.
+  MemStream* ms = nullptr;  // re-found after an eviction (it may erase it)
+  size_t peak_bytes = 0, peak_records = 0;
+  for (const SeqRecord& r : records) {
+    if (ms == nullptr) ms = &mem_[stream];
+    const size_t mem_sz = r.payload.size() + sizeof(MemRecord);
+    ms->records.push_back(MemRecord{
+        r.seq, r.timestamp_us,
+        std::vector<uint8_t>(r.payload.begin(), r.payload.end())});
+    ms->bytes += mem_sz;
+    mem_bytes_ += mem_sz;
+    mem_records_++;
+    if (opts_.mem_budget_bytes > 0 && mem_bytes_ > opts_.mem_budget_bytes) {
+      EvictMemstore();
+      ms = nullptr;
+    }
+    peak_bytes = std::max(peak_bytes, mem_bytes_);
+    peak_records = std::max(peak_records, mem_records_);
+  }
+  if (records.size() > 1) {
+    g_mem_bytes_->Set(static_cast<double>(peak_bytes));
+    g_mem_records_->Set(static_cast<double>(peak_records));
   }
   UpdateGauges();
 }

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,21 @@ class TieredStore {
   Status AppendWithSeq(const std::string& stream, uint64_t seq,
                        int64_t timestamp_us, const uint8_t* payload, size_t n);
 
+  /// One record of a multi-record append; the payload is only read during
+  /// the call.
+  struct SeqRecord {
+    uint64_t seq = 0;
+    int64_t timestamp_us = 0;
+    std::span<const uint8_t> payload;
+  };
+  /// AppendWithSeq for a run of records of one stream, written as one
+  /// contiguous StorageFs append. The frames, checksums, counters and
+  /// gauges are exactly those of one AppendWithSeq per record. Seqs must
+  /// strictly increase from above the stream's next seq; otherwise nothing
+  /// is appended.
+  Status AppendBatchWithSeq(const std::string& stream,
+                            std::span<const SeqRecord> records);
+
   /// Background dropper/compaction step; drive from the simulation clock.
   void Tick(SimTime now);
   /// Syncs everything pending now (clean shutdown / test barrier).
@@ -180,8 +196,11 @@ class TieredStore {
 
   std::string SegmentPath(uint64_t n) const;
   std::string PagePath(uint64_t n) const;
-  void AppendRecord(const std::string& stream, uint64_t seq, int64_t ts_us,
-                    const uint8_t* payload, size_t n);
+  /// The one write path: frames `records` (already seq-checked) into the
+  /// active segment with one StorageFs append and caches them in the
+  /// memstore.
+  void AppendFrames(const std::string& stream,
+                    std::span<const SeqRecord> records);
   void SyncActiveSegment(SimTime now);
   void SealActiveSegment();
   void CompactOneSegment(SimTime now);
@@ -207,6 +226,7 @@ class TieredStore {
   bool opened_ = false;
 
   std::map<std::string, StreamState, std::less<>> streams_;
+  std::vector<uint8_t> frame_scratch_;  // AppendFrames output, recycled
   std::map<std::string, MemStream> mem_;
   size_t mem_bytes_ = 0;
   size_t mem_records_ = 0;

@@ -5,6 +5,8 @@
 // duplicated, or reordered tuple on some arc).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "check/threaded_check.h"
 
 namespace aurora {
@@ -36,6 +38,22 @@ TEST(ThreadedSimcheckTest, FourWorkersMatchOracle) { RunSeeds(4); }
 TEST(ThreadedSimcheckTest, OneWorkerBatchedMatchesOracle) { RunSeeds(1, 7); }
 TEST(ThreadedSimcheckTest, TwoWorkersBatchedMatchOracle) { RunSeeds(2, 7); }
 TEST(ThreadedSimcheckTest, FourWorkersBatchedMatchOracle) { RunSeeds(4, 7); }
+
+// The digest text (injected count, output rows + hashes, violations) is
+// fixed by the determinism contract: it must not depend on the worker
+// count or on thread scheduling, so `simcheck --threaded N --digest` can be
+// diffed across N and across runs.
+TEST(ThreadedSimcheckTest, DigestIsByteStableAcrossWorkersAndRuns) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    ScenarioSpec spec = GenerateScenario(seed);
+    const std::string one = RunThreadedScenario(spec, 1).Summary();
+    const std::string four = RunThreadedScenario(spec, 4).Summary();
+    const std::string four_again = RunThreadedScenario(spec, 4).Summary();
+    EXPECT_EQ(one, four) << "seed " << seed;
+    EXPECT_EQ(four, four_again) << "seed " << seed;
+    EXPECT_EQ(one.find("workers="), std::string::npos) << one;
+  }
+}
 
 }  // namespace
 }  // namespace aurora

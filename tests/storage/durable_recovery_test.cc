@@ -10,6 +10,7 @@
 
 #include "engine/aurora_engine.h"
 #include "fault/injector.h"
+#include "ha/upstream_backup.h"
 #include "obs/metrics.h"
 #include "storage/storage_fs.h"
 #include "storage/tiered_store.h"
@@ -191,6 +192,204 @@ TEST_F(DurableRecoveryTest, NodeCrashRestartRecoversHalogAndReplays) {
   // Fresh post-restart tuples kept flowing: sequence counters were restored
   // from the store, so the receiver's dedup watermark does not eat them.
   EXPECT_GT(delivered, 800u);
+}
+
+/// Two nodes (filter on s1 -> map on s2) under upstream-backup HA with s1's
+/// output log mirrored into a durable store: retention, checkpoint
+/// truncations, segment seals and compactions, then a crash + restart that
+/// runs RecoverDurableState. The final MemStorageFs content digest pins
+/// every byte the halog path writes (AOF frames, pages, meta) — the
+/// constant was captured before the in-memory output log became a chunked
+/// byte log with one batched store append per sent chunk, so it proves
+/// that change left the stored bytes unchanged.
+TEST_F(DurableRecoveryTest, HalogBytesPinnedByContentDigest) {
+  Simulation sim;
+  OverlayNetwork net(&sim);
+  AuroraStarSystem system(&sim, &net, StarOptions{});
+  NodeId s1 = *system.AddNode(NodeOptions{"s1", 1.0, {}});
+  NodeId s2 = *system.AddNode(NodeOptions{"s2", 1.0, {}});
+  net.FullMesh(LinkOptions{});
+
+  SchemaPtr schema = Schema::Make({Field{"A", ValueType::kInt64},
+                                   Field{"B", ValueType::kInt64},
+                                   Field{"S", ValueType::kString},
+                                   Field{"D", ValueType::kDouble}});
+  GlobalQuery query;
+  ASSERT_OK(query.AddInput("in", schema));
+  ASSERT_OK(query.AddBox("f", FilterSpec(Predicate::True())));
+  ASSERT_OK(query.AddBox("m", MapSpec({{"A", Expr::FieldRef("A")},
+                                       {"B", Expr::FieldRef("B")}})));
+  ASSERT_OK(query.AddOutput("out"));
+  ASSERT_OK(query.ConnectInputToBox("in", "f"));
+  ASSERT_OK(query.ConnectBoxes("f", 0, "m", 0));
+  ASSERT_OK(query.ConnectBoxToOutput("m", 0, "out"));
+  auto deployed = DeployQuery(&system, query, {{"f", s1}, {"m", s2}});
+  ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
+  HaManager ha(&system, HaOptions{});
+  ASSERT_OK(ha.Protect(&*deployed, &query));
+
+  // Group fsync (not sync-every-append), small segments so several seal and
+  // compact, and a memstore budget small enough to evict.
+  MemStorageFs fs;
+  TieredStoreOptions sopts;
+  sopts.mem_budget_bytes = 8 * 1024;
+  sopts.aof_segment_bytes = 4 * 1024;
+  sopts.group_sync_bytes = 1024;
+  TieredStore store(&fs, sopts);
+  ASSERT_OK(store.Open());
+  system.node(s1).AttachDurableStorage(&store);
+
+  for (int i = 0; i < 1500; ++i) {
+    sim.ScheduleAt(SimTime::Millis(i), [&system, &schema, s1, i]() {
+      Tuple t = MakeTuple(schema, {Value(i), Value(i % 13),
+                                   Value("sym" + std::to_string(i % 5)),
+                                   Value(i * 0.25)});
+      (void)system.node(s1).Inject("in", t);
+    });
+  }
+  FaultPlan plan;
+  plan.CrashAt(SimTime::Millis(705), s1).RestartAt(SimTime::Millis(900), s1);
+  Injector injector(&system, plan, InjectorOptions{});
+  ASSERT_OK(injector.Arm());
+  sim.RunUntil(SimTime::Seconds(3));
+
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  EXPECT_GT(ha.truncated_tuples(), 0u);
+  EXPECT_GT(reg.CounterValue("storage.truncates"), 0u);
+  EXPECT_GT(reg.CounterValue("storage.compactions"), 0u);
+  EXPECT_GT(reg.CounterValue("storage.halog.replayed"), 0u);
+  EXPECT_EQ(injector.crashes(), 1u);
+  EXPECT_EQ(fs.ContentDigest(), 0xe51c8c46645de94bull);
+}
+
+/// Hostile bytes on the durable recovery path: byte-flipped, cut and
+/// padded halog payloads appended through AppendWithSeq (so their frames
+/// and checksums are valid and the payloads reach the decoder), then a
+/// crash + restart + RecoverDurableState. Every record that does not decode
+/// to a tuple of the log's schema is counted and skipped, only decodable
+/// entries enter the log, and nothing aborts — the replay is processed
+/// downstream too. Seeded, fixed budget.
+TEST_F(DurableRecoveryTest, MutatedHalogPayloadsAreRejectedNotFatal) {
+  SchemaPtr schema = Schema::Make({Field{"A", ValueType::kInt64},
+                                   Field{"B", ValueType::kInt64},
+                                   Field{"S", ValueType::kString},
+                                   Field{"D", ValueType::kDouble}});
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kFatal);  // one error line per rejected record
+  Rng rng = testing_util::MakeTestRng(4);
+  constexpr int kRounds = 60;
+  constexpr int kMutantsPerRound = 24;
+  uint64_t rejected_total = 0, admitted_total = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    MetricsRegistry::Global().Reset();
+    Simulation sim;
+    OverlayNetwork net(&sim);
+    AuroraStarSystem system(&sim, &net, StarOptions{});
+    NodeId s1 = *system.AddNode(NodeOptions{"s1", 1.0, {}});
+    NodeId s2 = *system.AddNode(NodeOptions{"s2", 1.0, {}});
+    net.FullMesh(LinkOptions{});
+    GlobalQuery query;
+    ASSERT_OK(query.AddInput("in", schema));
+    ASSERT_OK(query.AddBox("f", FilterSpec(Predicate::True())));
+    ASSERT_OK(query.AddBox(
+        "m", MapSpec({{"A", Expr::FieldRef("A")},
+                      {"B", Expr::Arith(ArithOp::kAdd, Expr::FieldRef("B"),
+                                        Expr::FieldRef("A"))}})));
+    ASSERT_OK(query.AddOutput("out"));
+    ASSERT_OK(query.ConnectInputToBox("in", "f"));
+    ASSERT_OK(query.ConnectBoxes("f", 0, "m", 0));
+    ASSERT_OK(query.ConnectBoxToOutput("m", 0, "out"));
+    ASSERT_TRUE(DeployQuery(&system, query, {{"f", s1}, {"m", s2}}).ok());
+    system.node(s1).RetainOutputLogs(true);
+    MemStorageFs fs;
+    TieredStoreOptions sopts;
+    sopts.sync_every_append = true;
+    TieredStore store(&fs, sopts);
+    ASSERT_OK(store.Open());
+    StreamNode& node = system.node(s1);
+    node.AttachDurableStorage(&store);
+
+    // A few genuine entries, sent and logged the normal way.
+    constexpr int kValid = 8;
+    for (int i = 0; i < kValid; ++i) {
+      ASSERT_OK(node.Inject(
+          "in", MakeTuple(schema, {Value(i), Value(3 * i),
+                                   Value("s" + std::to_string(i)),
+                                   Value(i * 0.5)})));
+    }
+    sim.RunFor(SimDuration::Millis(20));
+    const StreamNode::RemoteBinding& binding = node.bindings().begin()->second;
+    ASSERT_EQ(binding.output_log.size(), static_cast<size_t>(kValid));
+    const std::string halog = "halog/" + binding.stream;
+
+    // Mutants of a genuine record, appended above the stream's seqs.
+    uint64_t seq = store.next_seq(halog);
+    int admissible = 0;
+    for (int k = 0; k < kMutantsPerRound; ++k) {
+      Tuple t = MakeTuple(schema, {Value(int64_t{1000 + k}), Value(k),
+                                   Value(std::string(rng.Uniform(12), 'q')),
+                                   Value(k * 1.25)});
+      t.set_seq(seq);
+      t.set_timestamp(SimTime::Micros(500 + k));
+      Encoder enc;
+      enc.PutTuple(t);
+      enc.PutU64(1 + rng.Uniform(kValid));
+      std::vector<uint8_t> bytes = enc.TakeBuffer();
+      switch (rng.Uniform(4)) {
+        case 0:  // cut short
+          bytes.resize(rng.Uniform(bytes.size()));
+          break;
+        case 1:  // trailing junk
+          for (int j = 0, n = 1 + static_cast<int>(rng.Uniform(9)); j < n; ++j) {
+            bytes.push_back(static_cast<uint8_t>(rng.Next()));
+          }
+          break;
+        default:  // one to three flipped bytes
+          for (int j = 0, n = 1 + static_cast<int>(rng.Uniform(3)); j < n; ++j) {
+            bytes[rng.Uniform(bytes.size())] ^=
+                static_cast<uint8_t>(1 + rng.Uniform(255));
+          }
+      }
+      // The admission rule, stated independently: the bytes decode to a
+      // tuple whose values fit the schema (null or the field's type).
+      Decoder dec(bytes);
+      auto got = dec.GetTuple(schema);
+      bool fits = got.ok() && got->num_values() == schema->num_fields();
+      for (size_t v = 0; fits && v < got->num_values(); ++v) {
+        fits = got->value(v).is_null() ||
+               got->value(v).type() == schema->field(v).type;
+      }
+      admissible += fits ? 1 : 0;
+      ASSERT_OK(store.AppendWithSeq(halog, seq++, 500 + k, bytes.data(),
+                                    bytes.size()));
+    }
+
+    system.node(s1).Crash();
+    system.node(s1).SetUp(true);
+    ASSERT_OK(system.node(s1).RecoverDurableState());
+    const size_t logged = binding.output_log.size();
+    EXPECT_EQ(logged, static_cast<size_t>(kValid + admissible))
+        << "round " << round;
+    const uint64_t rejected =
+        MetricsRegistry::Global().CounterValue("storage.halog.rejected");
+    EXPECT_EQ(rejected, static_cast<uint64_t>(kMutantsPerRound - admissible))
+        << "round " << round;
+    // Every logged entry decodes; the genuine ones come back intact.
+    std::vector<Tuple> restored = node.OutputLogSnapshot(binding.stream);
+    ASSERT_EQ(restored.size(), logged);
+    for (int i = 0; i < kValid; ++i) {
+      EXPECT_EQ(restored[i].value(0).AsInt(), i);
+      EXPECT_EQ(restored[i].value(2).AsString(), "s" + std::to_string(i));
+    }
+    // The replay reaches s2 and runs through its map without aborting.
+    sim.RunFor(SimDuration::Millis(100));
+    rejected_total += rejected;
+    admitted_total += static_cast<uint64_t>(admissible);
+  }
+  SetLogLevel(saved_level);
+  // The mutations exercised both outcomes.
+  EXPECT_GT(rejected_total, 0u);
+  EXPECT_GT(admitted_total, 0u);
 }
 
 TEST_F(DurableRecoveryTest, DurableRecoveryBeatsPlainRestart) {
