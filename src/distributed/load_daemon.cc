@@ -8,7 +8,7 @@ namespace aurora {
 
 void LoadShareDaemon::Start() {
   last_round_ = system_->sim()->Now();
-  system_->sim()->SchedulePeriodic(opts_.interval, [this]() {
+  timer_ = system_->sim()->SchedulePeriodicCancelable(opts_.interval, [this] {
     RunOnce();
     return true;
   });

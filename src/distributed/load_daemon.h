@@ -6,6 +6,7 @@
 
 #include "distributed/box_slider.h"
 #include "distributed/box_splitter.h"
+#include "sim/simulation.h"
 
 namespace aurora {
 
@@ -89,6 +90,7 @@ class LoadShareDaemon {
   uint64_t splits_ = 0;
   uint64_t rounds_ = 0;
   uint64_t split_counter_ = 0;
+  PeriodicTimer timer_;
 };
 
 }  // namespace aurora

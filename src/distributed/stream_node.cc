@@ -210,10 +210,9 @@ Status StreamNode::RecoverDurableState() {
 }
 
 void StreamNode::Start() {
-  if (started_) return;
-  started_ = true;
+  if (tick_timer_.active()) return;
   window_start_ = sim_->Now();
-  sim_->SchedulePeriodic(tick_interval_, [this]() {
+  tick_timer_ = sim_->SchedulePeriodicCancelable(tick_interval_, [this]() {
     if (!up_) return true;  // keep the timer; skip while down
     engine_.Tick(sim_->Now());
     if (flow_enabled()) {
@@ -383,10 +382,11 @@ void StreamNode::MaybeGrantCredit(const std::string& stream, IncomingStream& in,
   grant.stream = stream;
   grant.flow_offset = limit;
   StreamNode* src = in.src;
-  Status sent = net_->Send(id_, src->id(), std::move(grant),
-                           [src, stream](const Message& m) {
-                             src->OnFlowGrant(stream, m.flow_offset);
-                           });
+  Status sent = net_->Send(
+      id_, src->id(), std::move(grant),
+      src->lifeline_.Guard([src, stream](const Message& m) {
+        src->OnFlowGrant(stream, m.flow_offset);
+      }));
   if (!sent.ok()) {
     AURORA_LOG(Warn) << "node " << id_
                      << ": credit grant send failed: " << sent.ToString();
@@ -509,7 +509,7 @@ void StreamNode::ScheduleStep() {
   step_scheduled_ = true;
   // Never start a step while the CPU is still charged with earlier work.
   SimTime at = std::max(sim_->Now() + SimDuration::Micros(1), busy_until_);
-  sim_->ScheduleAt(at, [this]() { Step(); });
+  sim_->ScheduleAt(at, lifeline_.Guard([this]() { Step(); }));
 }
 
 void StreamNode::Step() {

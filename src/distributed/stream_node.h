@@ -352,7 +352,11 @@ class StreamNode {
   bool retain_logs_ = false;
   bool step_scheduled_ = false;
   bool up_ = true;
-  bool started_ = false;
+  /// The node tick; destroying the node cancels it.
+  PeriodicTimer tick_timer_;
+  /// Guards step events, and the credit grants peers send this node,
+  /// against outliving the node.
+  Lifeline lifeline_;
   bool flow_blocked_ = false;
   /// CPU accounting: the node may not start another step before this time,
   /// enforcing its processing capacity even across idle gaps.

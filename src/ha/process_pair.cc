@@ -13,7 +13,7 @@ uint64_t ProcessPairModel::ProcessedSoFar() const {
 }
 
 void ProcessPairModel::Start(SimDuration poll) {
-  system_->sim()->SchedulePeriodic(poll, [this]() {
+  poll_timer_ = system_->sim()->SchedulePeriodicCancelable(poll, [this]() {
     uint64_t now_processed = ProcessedSoFar();
     uint64_t delta = now_processed - last_seen_;
     last_seen_ = now_processed;

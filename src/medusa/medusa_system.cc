@@ -43,14 +43,14 @@ Result<std::string> MedusaSystem::ParticipantOfNode(NodeId node) const {
 }
 
 void MedusaSystem::Start() {
-  if (started_) return;
-  started_ = true;
-  star_->sim()->SchedulePeriodic(opts_.settle_interval, [this]() {
-    SettleContracts();
-    SettleMovementProcessing();
-    RunOracles();
-    return true;
-  });
+  if (settle_timer_.active()) return;
+  settle_timer_ = star_->sim()->SchedulePeriodicCancelable(
+      opts_.settle_interval, [this]() {
+        SettleContracts();
+        SettleMovementProcessing();
+        RunOracles();
+        return true;
+      });
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "fault/failure_detector.h"
 #include "medusa/contracts.h"
 #include "medusa/participant.h"
+#include "sim/simulation.h"
 
 namespace aurora {
 
@@ -156,7 +157,8 @@ class MedusaSystem {
   int next_contract_id_ = 1;
   double total_transferred_ = 0.0;
   int total_switches_ = 0;
-  bool started_ = false;
+  /// Settlement tick; destroying the system cancels it.
+  PeriodicTimer settle_timer_;
 };
 
 }  // namespace aurora

@@ -239,7 +239,8 @@ void OverlayNetwork::Forward(NodeId at, NodeId to, Message msg,
 
   size_t bytes = msg.WireSize();
   auto make_arrival = [this, hop, to, on_deliver](Message m) {
-    return [this, hop, to, m = std::move(m), on_deliver]() mutable {
+    return lifeline_.Guard([this, hop, to, m = std::move(m),
+                            on_deliver]() mutable {
       if (!nodes_[hop].up) {
         DropForDownNode(hop, m);
         return;
@@ -251,7 +252,7 @@ void OverlayNetwork::Forward(NodeId at, NodeId to, Message msg,
       } else {
         Forward(hop, to, std::move(m), std::move(on_deliver));
       }
-    };
+    });
   };
   for (int c = 0; c < copies; ++c) {
     Message m = (c + 1 < copies) ? msg : std::move(msg);

@@ -192,6 +192,8 @@ class OverlayNetwork {
   uint64_t chaos_reordered_ = 0;
   /// Drives every probabilistic perturbation; reseed via SeedPerturbations.
   Rng chaos_rng_{0x9e3779b97f4a7c15ull};
+  /// Guards in-flight hop arrivals against outliving the overlay.
+  Lifeline lifeline_;
   Counter* m_delivered_ = nullptr;
   Counter* m_dropped_ = nullptr;
   Counter* m_dropped_down_ = nullptr;

@@ -244,6 +244,9 @@ class Transport {
   Counter* m_flow_probes_;
   LatencyHistogram* m_train_msgs_;
   LatencyHistogram* m_train_tuples_;
+  /// Guards wake-ups, link-free events and delivery callbacks against
+  /// outliving the transport.
+  Lifeline lifeline_;
 };
 
 }  // namespace aurora

@@ -9,19 +9,10 @@ Status FilterOp::InitImpl() {
   if (!spec_.predicate.has_value()) {
     return Status::InvalidArgument("filter requires a predicate");
   }
-  // Resolve field names to indices once; ProcessImpl never looks up a name.
+  // Resolve field names to indices once; processing never looks up a name.
   AURORA_RETURN_NOT_OK(spec_.predicate->Bind(input_schema(0)));
   SetOutputSchema(0, input_schema(0));
   if (two_way_) SetOutputSchema(1, input_schema(0));
-  return Status::OK();
-}
-
-Status FilterOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
-  if (spec_.predicate->Eval(t)) {
-    emitter->Emit(0, t);
-  } else if (two_way_) {
-    emitter->Emit(1, t);
-  }
   return Status::OK();
 }
 

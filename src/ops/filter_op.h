@@ -18,8 +18,6 @@ class FilterOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
   /// Vectorized: one Predicate::EvalBatch over the batch's columnar
   /// scratch, then a branch-per-tuple emit loop.
   Status ProcessBatchImpl(int input, TupleBatch& batch,

@@ -53,39 +53,8 @@ void JoinOp::EmitJoined(const Tuple& left, const Tuple& right,
   emitter->Emit(0, std::move(out));
 }
 
-Status JoinOp::ProcessImpl(int input, const Tuple& t, SimTime now,
-                           Emitter* emitter) {
-  ExpireOld(now);
-  if (input == 0) {
-    const Value& key = t.value(left_key_index_);
-    for (const auto& r : right_buffer_) {
-      if (r.value(right_key_index_) == key &&
-          // The probe also honours the time window against buffered tuples.
-          r.timestamp() + window_ >= t.timestamp() &&
-          t.timestamp() + window_ >= r.timestamp()) {
-        EmitJoined(t, r, emitter);
-      }
-    }
-    left_buffer_.push_back(t);
-  } else {
-    const Value& key = t.value(right_key_index_);
-    for (const auto& l : left_buffer_) {
-      if (l.value(left_key_index_) == key &&
-          l.timestamp() + window_ >= t.timestamp() &&
-          t.timestamp() + window_ >= l.timestamp()) {
-        EmitJoined(l, t, emitter);
-      }
-    }
-    right_buffer_.push_back(t);
-  }
-  return Status::OK();
-}
-
 Status JoinOp::ProcessBatchImpl(int input, TupleBatch& batch,
                                 BatchEmitter* emitter) {
-  if (input < 0 || input > 1) {
-    return Status::InvalidArgument("bad join input " + std::to_string(input));
-  }
   const size_t probe_key = input == 0 ? left_key_index_ : right_key_index_;
   const size_t build_key = input == 0 ? right_key_index_ : left_key_index_;
   std::deque<Tuple>& own = input == 0 ? left_buffer_ : right_buffer_;
@@ -100,10 +69,9 @@ Status JoinOp::ProcessBatchImpl(int input, TupleBatch& batch,
     NoteBatchTupleIn(input, t);
     emitter->SetCurrent(t);
     SimTime now = batch.now(i);
-    // Expire every tuple, exactly like the scalar loop. When `now` repeats,
-    // this can only pop tuples appended to `own` since the memo scan — the
-    // opposite buffer was already expired at this `now`, so the memoized
-    // positions stay valid.
+    // Expire at every tuple. When `now` repeats, this can only pop tuples
+    // appended to `own` since the memo scan — the opposite buffer was
+    // already expired at this `now`, so the memoized positions stay valid.
     ExpireOld(now);
     const Value& key = t.value(probe_key);
     bool reuse = memo_valid && now == memo_now && t.timestamp() == memo_ts &&

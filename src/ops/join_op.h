@@ -24,15 +24,14 @@ class JoinOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
-  /// Probe-side batch: the whole batch probes the opposite buffer with the
-  /// key index hoisted out of the loop, and consecutive probes with equal
-  /// (key, timestamp, now) reuse the memoized match positions instead of
-  /// rescanning the buffer (the opposite buffer cannot change between
-  /// them — the batch only appends to its own side, and re-expiring at the
-  /// same `now` pops nothing the memo scan saw). Emission order, buffer
-  /// contents, and drop behaviour are bit-identical to the scalar loop.
+  /// Probe-side batch: each tuple expires both buffers at its `now`, probes
+  /// the opposite buffer (key index hoisted out of the loop) and joins its
+  /// own buffer. Consecutive probes with equal (key, timestamp, now) reuse
+  /// the memoized match positions instead of rescanning the buffer (the
+  /// opposite buffer cannot change between them — the batch only appends
+  /// to its own side, and re-expiring at the same `now` pops nothing the
+  /// memo scan saw), so emission order, buffer contents and drop behaviour
+  /// are the same as one-tuple batches give.
   Status ProcessBatchImpl(int input, TupleBatch& batch,
                           BatchEmitter* emitter) override;
   SeqNo StatefulDependency(int input) const override;

@@ -9,24 +9,11 @@ Status MapOp::InitImpl() {
   std::vector<Field> fields;
   for (const auto& [name, expr] : spec_.projections) {
     AURORA_ASSIGN_OR_RETURN(ValueType type, expr.ResultType(*input_schema(0)));
-    // Resolve field names to indices once; ProcessImpl never looks up a name.
+    // Resolve field names to indices once; processing never looks up a name.
     AURORA_RETURN_NOT_OK(expr.Bind(input_schema(0)));
     fields.push_back(Field{name, type});
   }
   SetOutputSchema(0, Schema::Make(std::move(fields)));
-  return Status::OK();
-}
-
-Status MapOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
-  std::vector<Value> values;
-  values.reserve(spec_.projections.size());
-  for (const auto& [name, expr] : spec_.projections) {
-    AURORA_ASSIGN_OR_RETURN(Value v, expr.Eval(t));
-    values.push_back(std::move(v));
-  }
-  Tuple out(output_schema(0), std::move(values));
-  out.set_timestamp(t.timestamp());
-  emitter->Emit(0, std::move(out));
   return Status::OK();
 }
 
@@ -44,7 +31,7 @@ Status MapOp::ProcessBatchImpl(int input, TupleBatch& batch,
       // Identity projection: copy the field straight out of each tuple
       // (works for every value type, including strings) instead of
       // dispatching Eval per tuple. A bound field ref cannot error, so
-      // the scalar error semantics are unchanged.
+      // the per-tuple error semantics are unchanged.
       Result<size_t> idx = batch.schema()->IndexOf(field);
       if (idx.ok()) {
         ident_[j] = static_cast<int>(idx.ValueUnsafe());
@@ -79,8 +66,8 @@ Status MapOp::ProcessBatchImpl(int input, TupleBatch& batch,
       values.push_back(std::move(v).ValueUnsafe());
     }
     if (!st.ok()) {
-      // Scalar semantics: the failing tuple emits nothing, the error
-      // surfaces to the engine (which defers it and keeps going).
+      // The failing tuple emits nothing; the error surfaces to the engine
+      // (which defers it and keeps going).
       if (first.ok()) first = std::move(st);
       continue;
     }

@@ -15,8 +15,6 @@ class MapOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
   /// Vectorized: projections that Expr::EvalBatch can run columnar are
   /// computed once per batch; remaining projections evaluate per tuple in
   /// the assembly loop, so a single string column doesn't de-vectorize the

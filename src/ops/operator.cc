@@ -4,26 +4,6 @@
 
 namespace aurora {
 
-class Operator::CountingEmitter : public Emitter {
- public:
-  CountingEmitter(Emitter* inner, uint64_t* counter, SeqNo input_seq)
-      : inner_(inner), counter_(counter), input_seq_(input_seq) {}
-  void Emit(int output, Tuple t) override {
-    ++*counter_;
-    // Lineage propagation for the HA protocol (§6.2): an emitted tuple that
-    // did not set its own provenance inherits the triggering input's
-    // sequence number. Stateful operators (Tumble, windows) stamp the
-    // earliest contributing tuple themselves before emitting.
-    if (t.seq() == kNoSeqNo) t.set_seq(input_seq_);
-    inner_->Emit(output, std::move(t));
-  }
-
- private:
-  Emitter* inner_;
-  uint64_t* counter_;
-  SeqNo input_seq_;
-};
-
 Status Operator::Init(std::vector<SchemaPtr> input_schemas) {
   if (initialized_) {
     return Status::FailedPrecondition("operator already initialized");
@@ -53,14 +33,9 @@ Status Operator::Init(std::vector<SchemaPtr> input_schemas) {
 
 Status Operator::Process(int input, const Tuple& t, SimTime now,
                          Emitter* emitter) {
-  AURORA_DCHECK(initialized_) << "Process before Init on " << kind();
-  if (input < 0 || input >= num_inputs()) {
-    return Status::InvalidArgument("bad input index " + std::to_string(input));
-  }
-  if (t.seq() != kNoSeqNo) last_seq_[input] = t.seq();
-  ++tuples_in_;
-  CountingEmitter counting(emitter, &tuples_out_, t.seq());
-  return ProcessImpl(input, t, now, &counting);
+  TupleBatch one;
+  one.Push(t, now);
+  return ProcessBatch(input, one, emitter);
 }
 
 Status Operator::ProcessBatch(int input, TupleBatch& batch, Emitter* emitter) {
@@ -73,19 +48,6 @@ Status Operator::ProcessBatch(int input, TupleBatch& batch, Emitter* emitter) {
   Status st = ProcessBatchImpl(input, batch, &be);
   be.Flush();
   return st;
-}
-
-Status Operator::ProcessBatchImpl(int input, TupleBatch& batch,
-                                  BatchEmitter* emitter) {
-  Status first = Status::OK();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Tuple& t = batch.tuple(i);
-    NoteBatchTupleIn(input, t);
-    emitter->SetCurrent(t);
-    Status st = ProcessImpl(input, t, batch.now(i), emitter);
-    if (!st.ok() && first.ok()) first = std::move(st);
-  }
-  return first;
 }
 
 void Operator::OnTick(SimTime, Emitter*) {}

@@ -35,8 +35,8 @@ class Emitter {
 /// \brief Base class for all Aurora boxes (paper §2.2).
 ///
 /// Lifecycle: construct from an OperatorSpec → Init(input schemas) →
-/// ProcessBatch per train, which engines call (Process is the per-tuple
-/// reference it must match) + OnTick for time-driven boxes → Drain when the
+/// ProcessBatch per train, which engines call (Process is a one-tuple train
+/// through the same hook) + OnTick for time-driven boxes → Drain when the
 /// surrounding network is stabilized for a move (§5.1).
 ///
 /// The base tracks the transport sequence number of the last tuple processed
@@ -64,15 +64,17 @@ class Operator {
   const SchemaPtr& input_schema(int i) const { return input_schemas_[i]; }
   const SchemaPtr& output_schema(int i) const { return output_schemas_[i]; }
 
-  /// Processes one tuple from the given input arc.
+  /// Processes one tuple from the given input arc: a one-tuple train through
+  /// ProcessBatch, so its emissions (seq and trace stamping included) are
+  /// exactly what an engine activation of that one tuple produces.
   Status Process(int input, const Tuple& t, SimTime now, Emitter* emitter);
 
-  /// Processes a whole train of tuples from one input arc. Must be
-  /// emission-equivalent to calling Process on each tuple front to back:
-  /// the default implementation does exactly that, and vectorized overrides
-  /// are gated by the batch-vs-scalar equivalence suite. On a per-tuple
-  /// error, processing continues with the remaining tuples and the first
-  /// error is returned, matching the engine's deferred-error policy.
+  /// Processes a whole train of tuples from one input arc. Emissions must
+  /// not depend on how a stream is cut into trains: any chunking emits what
+  /// one-tuple trains would, in the same order (BatchOracle pins this
+  /// against goldens at train sizes 1, 2, 7 and 64). On a per-tuple error,
+  /// processing continues with the remaining tuples and the first error is
+  /// returned, matching the engine's deferred-error policy.
   Status ProcessBatch(int input, TupleBatch& batch, Emitter* emitter);
 
   /// Time-driven callback (WSort timeouts, aggregate timeouts). The engine
@@ -105,8 +107,9 @@ class Operator {
   }
 
   /// Emitter wrapper used by ProcessBatch. Per emission it applies the
-  /// lineage rules: seq inheritance (as CountingEmitter does for Process)
-  /// and trace-id propagation. A ProcessBatchImpl override must call
+  /// lineage rules: seq inheritance (HA §6.2: an emission that did not set
+  /// its own provenance inherits the triggering input's seq) and trace-id
+  /// propagation. A ProcessBatchImpl override must call
   /// SetCurrent(t) before emitting on behalf of tuple `t`, because the
   /// engine cannot know per-emission provenance mid-batch.
   ///
@@ -168,17 +171,14 @@ class Operator {
 
  protected:
   virtual Status InitImpl() = 0;
-  virtual Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                             Emitter* emitter) = 0;
-  /// Batched hook; default loops ProcessImpl over the batch. Overrides must
-  /// call NoteBatchTupleIn + emitter->SetCurrent for every tuple consumed,
-  /// keep scalar emission order, and continue past per-tuple errors
+  /// The one processing hook. Implementations consume the batch front to
+  /// back, call NoteBatchTupleIn + emitter->SetCurrent for every tuple
+  /// before emitting on its behalf, and continue past per-tuple errors
   /// (returning the first).
   virtual Status ProcessBatchImpl(int input, TupleBatch& batch,
-                                  BatchEmitter* emitter);
-  /// Per-tuple base bookkeeping in ProcessBatchImpl (lineage tracking and
-  /// selectivity input counting) — the batch equivalent of what Process
-  /// does before delegating to ProcessImpl.
+                                  BatchEmitter* emitter) = 0;
+  /// Per-tuple base bookkeeping in ProcessBatchImpl: lineage tracking and
+  /// selectivity input counting.
   void NoteBatchTupleIn(int input, const Tuple& t) {
     if (t.seq() != kNoSeqNo) last_seq_[input] = t.seq();
     ++tuples_in_;
@@ -191,9 +191,6 @@ class Operator {
   void SetOutputSchema(int i, SchemaPtr schema) {
     output_schemas_[i] = std::move(schema);
   }
-
-  /// Counting wrapper so selectivity is measured at the base.
-  class CountingEmitter;
 
   OperatorSpec spec_;
   std::vector<SchemaPtr> input_schemas_;

@@ -21,8 +21,8 @@ class ResampleOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
+  Status ProcessBatchImpl(int input, TupleBatch& batch,
+                          BatchEmitter* emitter) override;
   SeqNo StatefulDependency(int input) const override;
 
  private:

@@ -52,63 +52,33 @@ void TumbleOp::EmitWindow(const std::vector<Value>& key, const Window& w,
   emitter->Emit(0, std::move(out));
 }
 
-Status TumbleOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
-  const std::vector<Value>& key = KeyOf(t);
-  if (every_n_) {
-    auto it = open_.find(key);
-    if (it == open_.end()) {
-      Window w;
-      w.agg = proto_agg_->Clone();
-      w.agg->Reset();
-      w.start_ts = t.timestamp();
-      // Moving the scratch donates its buffer to the stored key; KeyOf
-      // rebuilds it next call.
-      it = open_.emplace(std::move(key_scratch_), std::move(w)).first;
-    }
-    Window& w = it->second;
-    w.agg->Update(t.value(agg_index_));
-    if (t.seq() != kNoSeqNo &&
-        (w.min_seq == kNoSeqNo || t.seq() < w.min_seq)) {
-      w.min_seq = t.seq();
-    }
-    if (w.agg->count() >= n_) {
-      EmitWindow(it->first, w, emitter);
-      open_.erase(it);
-    }
-    return Status::OK();
-  }
-
-  // Run-based policy (the paper's example): close the open window when the
-  // groupby value changes.
-  if (current_key_.has_value() && !(key == *current_key_)) {
-    EmitWindow(*current_key_, current_, emitter);
-    current_key_.reset();
-  }
-  if (!current_key_.has_value()) {
-    current_key_ = key;
-    current_.agg = proto_agg_->Clone();
-    current_.agg->Reset();
-    current_.min_seq = kNoSeqNo;
-    current_.start_ts = t.timestamp();
-  }
-  current_.agg->Update(t.value(agg_index_));
-  if (t.seq() != kNoSeqNo &&
-      (current_.min_seq == kNoSeqNo || t.seq() < current_.min_seq)) {
-    current_.min_seq = t.seq();
-  }
-  return Status::OK();
-}
-
 Status TumbleOp::ProcessBatchImpl(int input, TupleBatch& batch,
                                   BatchEmitter* emitter) {
   if (!every_n_) {
-    // Run-based mode keys off the single open run; per-tuple path is
-    // already one vector compare per tuple.
+    // Run-based policy (the paper's example): close the open window when
+    // the groupby value changes. One vector compare per tuple; no tuple can
+    // fail, so there is no per-tuple error to defer.
     for (size_t i = 0; i < batch.size(); ++i) {
       const Tuple& t = batch.tuple(i);
       NoteBatchTupleIn(input, t);
       emitter->SetCurrent(t);
-      AURORA_RETURN_NOT_OK(ProcessImpl(input, t, batch.now(i), emitter));
+      const std::vector<Value>& key = KeyOf(t);
+      if (current_key_.has_value() && !(key == *current_key_)) {
+        EmitWindow(*current_key_, current_, emitter);
+        current_key_.reset();
+      }
+      if (!current_key_.has_value()) {
+        current_key_ = key;
+        current_.agg = proto_agg_->Clone();
+        current_.agg->Reset();
+        current_.min_seq = kNoSeqNo;
+        current_.start_ts = t.timestamp();
+      }
+      current_.agg->Update(t.value(agg_index_));
+      if (t.seq() != kNoSeqNo &&
+          (current_.min_seq == kNoSeqNo || t.seq() < current_.min_seq)) {
+        current_.min_seq = t.seq();
+      }
     }
     return Status::OK();
   }
@@ -135,6 +105,8 @@ Status TumbleOp::ProcessBatchImpl(int input, TupleBatch& batch,
         nw.agg = proto_agg_->Clone();
         nw.agg->Reset();
         nw.start_ts = t.timestamp();
+        // Moving the scratch donates its buffer to the stored key; KeyOf
+        // rebuilds it next call.
         it = open_.emplace(std::move(key_scratch_), std::move(nw)).first;
       }
       wkey = &it->first;

@@ -33,8 +33,6 @@ class TumbleOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
   /// Drains the whole batch through the group state. every_n mode memoizes
   /// the GroupKeyMap probe across consecutive same-group tuples (the common
   /// shape of a batch); group_change mode is already one compare per tuple.

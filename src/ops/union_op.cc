@@ -21,8 +21,14 @@ Status UnionOp::InitImpl() {
   return Status::OK();
 }
 
-Status UnionOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
-  emitter->Emit(0, t);
+Status UnionOp::ProcessBatchImpl(int input, TupleBatch& batch,
+                                 BatchEmitter* emitter) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Tuple& t = batch.tuple(i);
+    NoteBatchTupleIn(input, t);
+    emitter->SetCurrent(t);
+    emitter->Emit(0, t);
+  }
   return Status::OK();
 }
 

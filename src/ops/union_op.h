@@ -15,8 +15,8 @@ class UnionOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
+  Status ProcessBatchImpl(int input, TupleBatch& batch,
+                          BatchEmitter* emitter) override;
 
  private:
   int n_inputs_;

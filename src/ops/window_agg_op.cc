@@ -70,20 +70,6 @@ void WindowAggOp::StepGroup(const std::vector<Value>& stored_key,
   g.since_last_emit = 0;
 }
 
-Status WindowAggOp::ProcessImpl(int, const Tuple& t, SimTime, Emitter* emitter) {
-  const std::vector<Value>& key = KeyOf(t);
-  auto it = groups_.find(key);
-  if (it == groups_.end()) {
-    // Moving the scratch donates its buffer to the stored key; KeyOf
-    // rebuilds it next call.
-    it = groups_.emplace(std::move(key_scratch_), GroupState{}).first;
-  }
-  // it->first, not `key`: the scratch behind `key` may have been moved into
-  // the map when this group was created.
-  StepGroup(it->first, it->second, t, emitter);
-  return Status::OK();
-}
-
 Status WindowAggOp::ProcessBatchImpl(int input, TupleBatch& batch,
                                      BatchEmitter* emitter) {
   // Memoize the last probed group across consecutive same-key tuples.
@@ -99,6 +85,8 @@ Status WindowAggOp::ProcessBatchImpl(int input, TupleBatch& batch,
     if (memo_state == nullptr || !(key == *memo_key)) {
       auto it = groups_.find(key);
       if (it == groups_.end()) {
+        // Moving the scratch donates its buffer to the stored key; KeyOf
+        // rebuilds it next call.
         it = groups_.emplace(std::move(key_scratch_), GroupState{}).first;
       }
       memo_key = &it->first;

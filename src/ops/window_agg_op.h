@@ -29,8 +29,6 @@ class WindowAggOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
   /// Drains the whole batch through the group state, memoizing the
   /// GroupKeyMap probe across consecutive same-group tuples. Groups are
   /// never erased mid-stream, so the memo pointer survives the batch.
@@ -52,7 +50,7 @@ class WindowAggOp : public Operator {
 
   /// Buffers `t` into `g` and emits the window aggregate when full and
   /// aligned with the advance stride. `stored_key` is the map's own key
-  /// vector for the group. Shared by the scalar and batched paths.
+  /// vector for the group.
   void StepGroup(const std::vector<Value>& stored_key, GroupState& g,
                  const Tuple& t, Emitter* emitter);
 

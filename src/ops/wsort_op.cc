@@ -38,29 +38,8 @@ const std::vector<Value>& WSortOp::KeyOf(const Tuple& t) {
   return key_scratch_;
 }
 
-Status WSortOp::ProcessImpl(int, const Tuple& t, SimTime now,
-                            Emitter* emitter) {
-  const std::vector<Value>& key = KeyOf(t);
-  if (watermark_.has_value() && ValueVectorLess()(key, *watermark_)) {
-    // Arrived after a later-sorted tuple was emitted: lossy discard.
-    ++dropped_;
-    return Status::OK();
-  }
-  buffer_.emplace(std::move(key_scratch_), t);
-  if (max_buffer_ > 0) {
-    while (buffer_.size() > max_buffer_) EmitSmallest(emitter);
-  }
-  if (!emitted_any_) last_emit_ = now;
-  return Status::OK();
-}
-
 Status WSortOp::ProcessBatchImpl(int input, TupleBatch& batch,
                                  BatchEmitter* emitter) {
-  if (max_buffer_ > 0) {
-    // Mid-batch emissions move the watermark tuple by tuple; keep the
-    // scalar loop so drop decisions stay bit-identical.
-    return Operator::ProcessBatchImpl(input, batch, emitter);
-  }
   const size_t n = batch.size();
   batch_entries_.clear();
   for (size_t i = 0; i < n; ++i) {
@@ -69,16 +48,23 @@ Status WSortOp::ProcessBatchImpl(int input, TupleBatch& batch,
     emitter->SetCurrent(t);
     const std::vector<Value>& key = KeyOf(t);
     if (watermark_.has_value() && ValueVectorLess()(key, *watermark_)) {
+      // Arrived after a later-sorted tuple was emitted: lossy discard.
       ++dropped_;
       continue;
     }
-    batch_entries_.emplace_back(std::move(key_scratch_), i);
+    if (max_buffer_ > 0) {
+      // Trimming emits mid-batch and moves the watermark the next tuple's
+      // drop check reads, so insert now.
+      buffer_.emplace(std::move(key_scratch_), t);
+      while (buffer_.size() > max_buffer_) EmitSmallest(emitter);
+    } else {
+      batch_entries_.emplace_back(std::move(key_scratch_), i);
+    }
     if (!emitted_any_) last_emit_ = batch.now(i);
   }
   // Single sort per batch; stable sort keeps arrival order among equal
   // keys, and each upper_bound hint lands the insert after every equal key
-  // already in the tree — exactly where the scalar per-tuple emplace puts
-  // it.
+  // already in the tree — exactly where a per-tuple emplace puts it.
   std::stable_sort(batch_entries_.begin(), batch_entries_.end(),
                    [](const auto& a, const auto& b) {
                      return ValueVectorLess()(a.first, b.first);

@@ -39,14 +39,13 @@ class WSortOp : public Operator {
 
  protected:
   Status InitImpl() override;
-  Status ProcessImpl(int input, const Tuple& t, SimTime now,
-                     Emitter* emitter) override;
   /// Batched insert: when max_buffer == 0 nothing is emitted mid-batch, so
   /// the watermark is constant across the batch — one pass does the lossy
   /// drop checks, then a single stable sort orders the admitted tuples and
   /// upper_bound-hinted inserts merge them into the tree, reproducing the
-  /// scalar path's equal-key order exactly. max_buffer > 0 moves the
-  /// watermark tuple by tuple, so it keeps the scalar loop.
+  /// per-tuple insertion order among equal keys exactly. max_buffer > 0
+  /// moves the watermark tuple by tuple, so each admitted tuple is inserted
+  /// and the buffer trimmed before the next drop check.
   Status ProcessBatchImpl(int input, TupleBatch& batch,
                           BatchEmitter* emitter) override;
   SeqNo StatefulDependency(int input) const override;

@@ -47,6 +47,31 @@ class PeriodicTimer {
   std::shared_ptr<bool> alive_;
 };
 
+/// \brief Owner lifetime for one-shot events.
+///
+/// An owner that may die before the simulation (a node, a transport, an
+/// overlay) holds one and wraps every callback that captures it — events it
+/// schedules, delivery callbacks it hands out — with Guard(). Once the
+/// owner, and with it the Lifeline, is destroyed, those callbacks still run
+/// when their event comes up but do nothing.
+class Lifeline {
+ public:
+  Lifeline() : alive_(std::make_shared<bool>(true)) {}
+  Lifeline(const Lifeline&) = delete;
+  Lifeline& operator=(const Lifeline&) = delete;
+  ~Lifeline() { *alive_ = false; }
+
+  template <typename Fn>
+  auto Guard(Fn fn) const {
+    return [alive = alive_, fn = std::move(fn)](auto&&... args) mutable {
+      if (*alive) fn(std::forward<decltype(args)>(args)...);
+    };
+  }
+
+ private:
+  std::shared_ptr<bool> alive_;
+};
+
 /// \brief Deterministic discrete-event simulation kernel.
 ///
 /// The distributed substrate (overlay links, node CPUs, failure timers,
@@ -68,11 +93,10 @@ class Simulation {
   void ScheduleAt(SimTime when, std::function<void()> fn);
 
   /// Schedules `fn` every `interval`, starting one interval from now, until
-  /// it returns false.
-  void SchedulePeriodic(SimDuration interval, std::function<bool()> fn);
-
-  /// Like SchedulePeriodic, but the returned handle cancels the timer when
-  /// destroyed — use when the callback's owner may die before the sim.
+  /// it returns false or the returned handle is cancelled or destroyed.
+  /// This is the only periodic schedule: a callback that captures its owner
+  /// is held by that owner, so it can never fire after the owner is gone,
+  /// even when the simulation outlives it.
   [[nodiscard]] PeriodicTimer SchedulePeriodicCancelable(
       SimDuration interval, std::function<bool()> fn);
 
@@ -103,6 +127,9 @@ class Simulation {
     uint64_t seq;
     std::function<void()> fn;
   };
+  /// Uncancelable self-rescheduling loop under SchedulePeriodicCancelable.
+  void SchedulePeriodic(SimDuration interval, std::function<bool()> fn);
+
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) return a.when > b.when;

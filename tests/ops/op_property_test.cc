@@ -382,15 +382,22 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WSortBufferPropertyTest,
                                            SeedCase{62, 300},
                                            SeedCase{63, 1000}));
 
-// ---- Batch-vs-scalar equivalence (BatchOracle) ---------------------------
+// ---- Chunking equivalence against pinned goldens (BatchOracle) -----------
 //
-// Contract under test: for any operator, chunking an input stream through
-// ProcessBatch is emission-equivalent to per-tuple Process — same tuples in
-// the same order on the same outputs, same seq/trace stamping, same
-// operator counters, and the same first error. The scalar run is the
-// oracle; the batched run must match it byte for byte at every batch size,
-// including sizes that leave odd tails. On mismatch the failing input list
-// is minimized with ShrinkList.
+// Contract under test: how a stream is cut into trains does not change what
+// ProcessBatch does — same tuples in the same order on the same outputs,
+// same seq/trace stamping, same operator counters, and the same first
+// error. Every case runs at train sizes 1, 2, 7 and 64 (the degenerate
+// size, small primes that leave odd tails, and the bench's wide setting)
+// and each run must match the case's golden. On a mismatch at size k the
+// input is minimized with ShrinkList on "size k disagrees with size 1".
+//
+// How the goldens were captured: at commit 02a44f3, the last one whose
+// operators still had a per-tuple ProcessImpl beside ProcessBatchImpl, this
+// file's cases ran that scalar path (per-tuple Process, with the engines'
+// per-tuple trace stamping modelled by a wrapping emitter) and printed, per
+// case, the FNV-1a hash of CanonicalEmissions, tuples_in, tuples_out and
+// the first error. Those printed values are the table below, unedited.
 
 /// One canonical line per emission: output index, seq, trace id, values.
 std::string CanonicalEmissions(const CollectingEmitter& emitter) {
@@ -414,49 +421,112 @@ struct OracleRun {
   std::string first_error;  // empty when every Process/ProcessBatch was OK
 };
 
-/// Replicates the scheduler's per-tuple trace propagation (AuroraEngine's
-/// RoutingEmitter): everything emitted while processing tuple t inherits
-/// t's trace id unless already traced. ProcessBatch folds this stamping
-/// into its BatchEmitter, so the scalar oracle must model it too.
-class TraceStampingEmitter : public Emitter {
- public:
-  explicit TraceStampingEmitter(Emitter* inner) : inner_(inner) {}
-  void SetCurrent(const Tuple& t) { trace_id_ = t.trace_id(); }
-  void Emit(int output, Tuple t) override {
-    if (trace_id_ != 0 && t.trace_id() == 0) t.set_trace_id(trace_id_);
-    inner_->Emit(output, std::move(t));
-  }
-
- private:
-  Emitter* inner_;
-  uint64_t trace_id_ = 0;
+/// What a golden pins of one run.
+struct Golden {
+  uint64_t emissions_fnv;  // FNV-1a 64 of CanonicalEmissions
+  uint64_t tuples_in;
+  uint64_t tuples_out;
+  std::string first_error;
+  bool operator==(const Golden&) const = default;
 };
 
-/// Scalar oracle: per-tuple Process with engine semantics — trace ids
-/// stamped per input tuple, a failing tuple emits nothing and the first
-/// error is recorded, later tuples still run (that is what both schedulers
-/// do with deferred_error_).
-OracleRun RunScalarOracle(const OperatorSpec& spec, const SchemaPtr& schema,
-                          const std::vector<Tuple>& tuples, bool drain) {
-  OracleRun run;
-  auto op = std::move(CreateOperator(spec)).ValueUnsafe();
-  AURORA_CHECK(op->Init({schema}).ok());
-  CollectingEmitter emitter;
-  TraceStampingEmitter stamping(&emitter);
-  for (const Tuple& t : tuples) {
-    stamping.SetCurrent(t);
-    Status st = op->Process(0, t, t.timestamp(), &stamping);
-    if (!st.ok() && run.first_error.empty()) run.first_error = st.ToString();
-  }
-  if (drain) op->Drain(&emitter);
-  run.emissions = CanonicalEmissions(emitter);
-  run.tuples_in = op->tuples_in();
-  run.tuples_out = op->tuples_out();
-  return run;
+std::ostream& operator<<(std::ostream& os, const Golden& g) {
+  return os << "{emissions 0x" << std::hex << g.emissions_fnv << std::dec
+            << ", in " << g.tuples_in << ", out " << g.tuples_out
+            << ", first error '" << g.first_error << "'}";
 }
 
-/// Batched run: the same stream chunked into TupleBatches of `batch_size`
-/// (the final chunk is the odd tail whenever the sizes do not divide).
+Golden Summarize(const OracleRun& run) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : run.emissions) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return Golden{h, run.tuples_in, run.tuples_out, run.first_error};
+}
+
+/// Goldens keyed "<case>/<sweep param>" (or "<case>" for unswept cases).
+const Golden& GoldenFor(const std::string& key) {
+  static const std::map<std::string, Golden> kGoldens = {
+      {"Union", {0xfe3563e5d7a67a45, 74, 74, ""}},
+      {"Join", {0xff8c42b3cc86be61, 58, 81, ""}},
+      {"JoinProbeBatchMemo", {0x56d69ee7a3ee6fe5, 101, 244, ""}},
+      {"FilterStringCompare/==", {0x19794bc93190eaab, 113, 25, ""}},
+      {"FilterStringCompare/!=", {0x1e95c44403802cad, 113, 88, ""}},
+      {"FilterStringCompare/<", {0xc1e20a622490ac63, 113, 49, ""}},
+      {"FilterStringCompare/<=", {0xfdebd19e291e9b31, 113, 74, ""}},
+      {"FilterStringCompare/>", {0xa9b0708c3bc5d7ef, 113, 39, ""}},
+      {"FilterStringCompare/>=", {0x4bfebfd223e93045, 113, 64, ""}},
+      {"MapIdentityStringProjection", {0x0f2b52733a2470cb, 77, 77, ""}},
+      {"FilterOneWay/tiny", {0xcbf29ce484222325, 1, 0, ""}},
+      {"FilterOneWay/odd", {0x9e46d05cfe379695, 13, 6, ""}},
+      {"FilterOneWay/mid", {0x05959a0fa7ec2165, 129, 67, ""}},
+      {"FilterOneWay/big", {0xd6702050ac858290, 500, 243, ""}},
+      {"FilterTwoWay/tiny", {0xfbc95a73f7a5b014, 1, 1, ""}},
+      {"FilterTwoWay/odd", {0x8fbc98573d097e94, 13, 13, ""}},
+      {"FilterTwoWay/mid", {0x8f832529eedd38be, 129, 129, ""}},
+      {"FilterTwoWay/big", {0xc017c2b67bbcc515, 500, 500, ""}},
+      {"FilterBooleanTree/tiny", {0xcbf29ce484222325, 1, 0, ""}},
+      {"FilterBooleanTree/odd", {0x082b3f0add42ba18, 13, 7, ""}},
+      {"FilterBooleanTree/mid", {0xbe5a0fda62516725, 129, 56, ""}},
+      {"FilterBooleanTree/big", {0x0c7075990d3a4871, 500, 208, ""}},
+      {"FilterDoubleConstantAgainstIntColumn/tiny",
+       {0xcbf29ce484222325, 1, 0, ""}},
+      {"FilterDoubleConstantAgainstIntColumn/odd",
+       {0xda2fb5a64d964245, 13, 5, ""}},
+      {"FilterDoubleConstantAgainstIntColumn/mid",
+       {0xcb466494f5d7ec82, 129, 61, ""}},
+      {"FilterDoubleConstantAgainstIntColumn/big",
+       {0x6c1c801d3972a5e0, 500, 254, ""}},
+      {"MapInt64FastPath/tiny", {0xdb8a6c8965f4b78a, 1, 1, ""}},
+      {"MapInt64FastPath/odd", {0x81ff0b1aba3ce44d, 13, 13, ""}},
+      {"MapInt64FastPath/mid", {0x28994d09305c960b, 129, 129, ""}},
+      {"MapInt64FastPath/big", {0x283feff5b52450bb, 500, 500, ""}},
+      {"MapDivFallbackWithErrors/tiny", {0x1e867b60d2757261, 1, 1, ""}},
+      {"MapDivFallbackWithErrors/odd",
+       {0xbc6a4108a16f27c6, 13, 11, "InvalidArgument: division by zero"}},
+      {"MapDivFallbackWithErrors/mid",
+       {0x4cefa02ef5fd2ace, 129, 103, "InvalidArgument: division by zero"}},
+      {"MapDivFallbackWithErrors/big",
+       {0xa810804fef6b2bf8, 500, 362, "InvalidArgument: division by zero"}},
+      {"TumbleRunBased/tiny", {0xabf763fc0e4c9e49, 1, 0, ""}},
+      {"TumbleRunBased/odd", {0x606454b1afc7cc95, 13, 8, ""}},
+      {"TumbleRunBased/mid", {0x573d1cb9b6c092e9, 129, 109, ""}},
+      {"TumbleRunBased/big", {0x69285ae344dc01f1, 500, 406, ""}},
+      {"TumbleEveryN/tiny", {0x3c30fbf237e6d93e, 1, 0, ""}},
+      {"TumbleEveryN/odd", {0xd79b659a3765933f, 13, 4, ""}},
+      {"TumbleEveryN/mid", {0x57993926882ef4de, 129, 42, ""}},
+      {"TumbleEveryN/big", {0x4a065ba4e11ad8ea, 500, 166, ""}},
+      {"WindowAggXSection/tiny", {0xcbf29ce484222325, 1, 0, ""}},
+      {"WindowAggXSection/odd", {0xafb2eda4a08819c2, 13, 2, ""}},
+      {"WindowAggXSection/mid", {0x89fc6b19cb094434, 129, 59, ""}},
+      {"WindowAggXSection/big", {0x8002605cf408b984, 500, 245, ""}},
+      {"WindowAggSlide/tiny", {0xcbf29ce484222325, 1, 0, ""}},
+      {"WindowAggSlide/odd", {0xfd54733505664efc, 13, 2, ""}},
+      {"WindowAggSlide/mid", {0xfcd6ca67ab5d8bd2, 129, 113, ""}},
+      {"WindowAggSlide/big", {0xf5d168dbea645fc4, 500, 484, ""}},
+      {"WSort/tiny", {0xc9e23a4252daeafa, 1, 0, ""}},
+      {"WSort/odd", {0xe5f43d53d80f2f46, 13, 5, ""}},
+      {"WSort/mid", {0xe98506155a960aac, 129, 17, ""}},
+      {"WSort/big", {0x1d7640a5866ccd8b, 500, 30, ""}},
+      {"WSortUnbounded/tiny", {0xd48bae248f6d938b, 1, 0, ""}},
+      {"WSortUnbounded/odd", {0x98fd55c4ee0cf401, 13, 0, ""}},
+      {"WSortUnbounded/mid", {0x1703d6650510adbd, 129, 0, ""}},
+      {"WSortUnbounded/big", {0xa8166302a442a308, 500, 0, ""}},
+      {"Resample/tiny", {0xcbf29ce484222325, 1, 0, ""}},
+      {"Resample/odd", {0xab986fe1fcc6d936, 13, 6, ""}},
+      {"Resample/mid", {0xcba55758f96b4479, 129, 64, ""}},
+      {"Resample/big", {0xaee622e89d7a3de9, 500, 250, ""}},
+  };
+  auto it = kGoldens.find(key);
+  AURORA_CHECK(it != kGoldens.end()) << "no golden for " << key;
+  return it->second;
+}
+
+/// Runs the stream chunked into TupleBatches of `batch_size` (the final
+/// chunk is the odd tail whenever the sizes do not divide). A failing tuple
+/// emits nothing, the first error is recorded and later tuples still run,
+/// as both schedulers do with deferred_error_.
 OracleRun RunBatched(const OperatorSpec& spec, const SchemaPtr& schema,
                      const std::vector<Tuple>& tuples, int batch_size,
                      bool drain) {
@@ -483,36 +553,78 @@ OracleRun RunBatched(const OperatorSpec& spec, const SchemaPtr& schema,
   return run;
 }
 
-/// The fixture core: "" when scalar and batched agree on emissions,
-/// counters, and first error; a human-readable diff otherwise.
-std::string BatchOracleDiff(const OperatorSpec& spec, const SchemaPtr& schema,
-                            const std::vector<Tuple>& tuples, int batch_size,
-                            bool drain) {
-  OracleRun scalar = RunScalarOracle(spec, schema, tuples, drain);
-  OracleRun batched = RunBatched(spec, schema, tuples, batch_size, drain);
+constexpr int kTrainSizes[] = {1, 2, 7, 64};
+
+std::string DescribeTuples(const std::vector<Tuple>& tuples) {
   std::ostringstream os;
-  if (scalar.emissions != batched.emissions) {
-    os << "emissions diverge at batch_size=" << batch_size << "\n-- scalar:\n"
-       << scalar.emissions << "-- batched:\n" << batched.emissions;
-  }
-  if (scalar.tuples_in != batched.tuples_in) {
-    os << "tuples_in: scalar=" << scalar.tuples_in
-       << " batched=" << batched.tuples_in << "\n";
-  }
-  if (scalar.tuples_out != batched.tuples_out) {
-    os << "tuples_out: scalar=" << scalar.tuples_out
-       << " batched=" << batched.tuples_out << "\n";
-  }
-  if (scalar.first_error != batched.first_error) {
-    os << "first error: scalar='" << scalar.first_error << "' batched='"
-       << batched.first_error << "'\n";
+  for (const Tuple& t : tuples) {
+    os << "(";
+    for (size_t i = 0; i < t.num_values(); ++i) {
+      os << (i > 0 ? "," : "") << t.value(i).ToString();
+    }
+    os << ") ";
   }
   return os.str();
 }
 
+/// "" when the stream matches the golden for `key` at every train size; a
+/// failure report otherwise, with a minimized input when size 1 matched.
+std::string CheckChunkings(const std::string& key, const OperatorSpec& spec,
+                           const SchemaPtr& schema,
+                           const std::vector<Tuple>& tuples, bool drain) {
+  const Golden& want = GoldenFor(key);
+  for (int size : kTrainSizes) {
+    Golden got = Summarize(RunBatched(spec, schema, tuples, size, drain));
+    if (got == want) continue;
+    std::ostringstream os;
+    os << spec.ToString() << " at train size " << size
+       << " diverges from golden " << key << ": got " << got << ", want "
+       << want;
+    if (size == 1) return os.str();
+    // Size 1 matched the golden, so the full input already shows size
+    // `size` disagreeing with size 1: shrink on that.
+    auto disagrees = [&](const std::vector<Tuple>& input) {
+      return Summarize(RunBatched(spec, schema, input, size, drain)) !=
+             Summarize(RunBatched(spec, schema, input, 1, drain));
+    };
+    std::vector<Tuple> minimal = ShrinkList<Tuple>(tuples, disagrees);
+    os << "\nminimal input where size " << size
+       << " disagrees with size 1: " << DescribeTuples(minimal)
+       << "\n-- size 1:\n"
+       << RunBatched(spec, schema, minimal, 1, drain).emissions << "-- size "
+       << size << ":\n"
+       << RunBatched(spec, schema, minimal, size, drain).emissions;
+    return os.str();
+  }
+  return "";
+}
+
+/// Filter checked against the per-tuple primitive that survives in src,
+/// independently of the goldens: Predicate::Eval routes each tuple (output
+/// 0 on a match, output 1 on a miss when two_way) and the tuple is emitted
+/// unchanged.
+void CheckFilterAgainstEval(const OperatorSpec& spec, const SchemaPtr& schema,
+                            const std::vector<Tuple>& tuples) {
+  ASSERT_OK(spec.predicate->Bind(schema));
+  const bool two_way = spec.GetBool("two_way", false);
+  CollectingEmitter want;
+  for (const Tuple& t : tuples) {
+    if (spec.predicate->Eval(t)) {
+      want.Emit(0, t);
+    } else if (two_way) {
+      want.Emit(1, t);
+    }
+  }
+  for (int size : kTrainSizes) {
+    EXPECT_EQ(RunBatched(spec, schema, tuples, size, false).emissions,
+              CanonicalEmissions(want))
+        << spec.ToString() << " at train size " << size;
+  }
+}
+
 /// Seeded random (A, B) stream with seq numbers 1..n, millisecond
 /// timestamps, and a trace id on every third tuple (exercises the
-/// BatchEmitter seq/trace stamping against CountingEmitter's).
+/// BatchEmitter's trace stamping of untraced emissions).
 std::vector<Tuple> BatchStream(uint64_t seed, int n, int64_t a_range,
                                int64_t b_lo, int64_t b_hi) {
   Rng rng = MakeTestRng(seed);
@@ -535,47 +647,36 @@ struct BatchOpCase {
   int n;
 };
 
-/// Every unary operator kind under one sweep. Batch sizes cover the
-/// degenerate (1), small primes that never divide the stream (2, 7 — odd
-/// tails), and the bench's wide setting (64, larger than most streams).
+/// Every unary operator kind under one sweep.
 class BatchOracleTest : public ::testing::TestWithParam<BatchOpCase> {
  protected:
-  void CheckAllBatchSizes(const OperatorSpec& spec, const SchemaPtr& schema,
+  void CheckAllBatchSizes(const char* test, const OperatorSpec& spec,
+                          const SchemaPtr& schema,
                           const std::vector<Tuple>& tuples, bool drain) {
-    for (int batch_size : {1, 2, 7, 64}) {
-      std::string diff = BatchOracleDiff(spec, schema, tuples, batch_size,
-                                         drain);
-      if (diff.empty()) continue;
-      // Minimize on the first failing batch size: fewer rows, same diff.
-      auto mismatch = [&](const std::vector<Tuple>& input) {
-        return !BatchOracleDiff(spec, schema, input, batch_size, drain)
-                    .empty();
-      };
-      std::vector<Tuple> minimal = ShrinkList<Tuple>(tuples, mismatch);
-      std::ostringstream rows;
-      for (const Tuple& t : minimal) {
-        rows << "(" << GetInt(t, "A") << "," << GetInt(t, "B") << ") ";
-      }
-      FAIL() << spec.ToString() << " batch_size=" << batch_size
-             << " diverges from scalar oracle; minimal failing input: "
-             << rows.str() << "\n" << diff;
-    }
+    std::string failure =
+        CheckChunkings(std::string(test) + "/" + GetParam().name, spec,
+                       schema, tuples, drain);
+    if (!failure.empty()) FAIL() << failure;
   }
 };
 
 TEST_P(BatchOracleTest, FilterOneWay) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(
-      FilterSpec(Predicate::Compare("A", CompareOp::kLt, Value(int64_t{25}))),
-      SchemaAB(), BatchStream(c.seed, c.n, 50, -100, 100), false);
+  OperatorSpec spec =
+      FilterSpec(Predicate::Compare("A", CompareOp::kLt, Value(int64_t{25})));
+  std::vector<Tuple> tuples = BatchStream(c.seed, c.n, 50, -100, 100);
+  CheckAllBatchSizes("FilterOneWay", spec, SchemaAB(), tuples, false);
+  CheckFilterAgainstEval(spec, SchemaAB(), tuples);
 }
 
 TEST_P(BatchOracleTest, FilterTwoWay) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(
+  OperatorSpec spec =
       FilterSpec(Predicate::Compare("A", CompareOp::kGe, Value(int64_t{25})),
-                 /*two_way=*/true),
-      SchemaAB(), BatchStream(c.seed + 1, c.n, 50, -100, 100), false);
+                 /*two_way=*/true);
+  std::vector<Tuple> tuples = BatchStream(c.seed + 1, c.n, 50, -100, 100);
+  CheckAllBatchSizes("FilterTwoWay", spec, SchemaAB(), tuples, false);
+  CheckFilterAgainstEval(spec, SchemaAB(), tuples);
 }
 
 TEST_P(BatchOracleTest, FilterBooleanTree) {
@@ -587,16 +688,21 @@ TEST_P(BatchOracleTest, FilterBooleanTree) {
           Predicate::Compare("B", CompareOp::kLe, Value(int64_t{0}))),
       Predicate::Not(
           Predicate::Compare("A", CompareOp::kNe, Value(int64_t{7}))));
-  CheckAllBatchSizes(FilterSpec(std::move(p)), SchemaAB(),
-                     BatchStream(c.seed + 2, c.n, 50, -100, 100), false);
+  OperatorSpec spec = FilterSpec(std::move(p));
+  std::vector<Tuple> tuples = BatchStream(c.seed + 2, c.n, 50, -100, 100);
+  CheckAllBatchSizes("FilterBooleanTree", spec, SchemaAB(), tuples, false);
+  CheckFilterAgainstEval(spec, SchemaAB(), tuples);
 }
 
 TEST_P(BatchOracleTest, FilterDoubleConstantAgainstIntColumn) {
   const auto& c = GetParam();
   // Mixed-numeric compare goes through the AsNumeric column path.
-  CheckAllBatchSizes(
-      FilterSpec(Predicate::Compare("A", CompareOp::kGt, Value(24.5))),
-      SchemaAB(), BatchStream(c.seed + 3, c.n, 50, -100, 100), false);
+  OperatorSpec spec =
+      FilterSpec(Predicate::Compare("A", CompareOp::kGt, Value(24.5)));
+  std::vector<Tuple> tuples = BatchStream(c.seed + 3, c.n, 50, -100, 100);
+  CheckAllBatchSizes("FilterDoubleConstantAgainstIntColumn", spec, SchemaAB(),
+                     tuples, false);
+  CheckFilterAgainstEval(spec, SchemaAB(), tuples);
 }
 
 TEST_P(BatchOracleTest, MapInt64FastPath) {
@@ -609,26 +715,27 @@ TEST_P(BatchOracleTest, MapInt64FastPath) {
                                             Expr::Constant(Value(int64_t{3})))));
   proj.emplace_back("D", Expr::Arith(ArithOp::kSub, Expr::FieldRef("B"),
                                      Expr::FieldRef("A")));
-  CheckAllBatchSizes(MapSpec(std::move(proj)), SchemaAB(),
+  CheckAllBatchSizes("MapInt64FastPath", MapSpec(std::move(proj)), SchemaAB(),
                      BatchStream(c.seed + 4, c.n, 50, -100, 100), false);
 }
 
 TEST_P(BatchOracleTest, MapDivFallbackWithErrors) {
   const auto& c = GetParam();
   // kDiv forces the per-tuple fallback, and B ranges over 0 so some tuples
-  // divide by zero: the batched path must skip exactly those tuples and
-  // surface the same first error the scalar path does.
+  // divide by zero: every chunking must skip exactly those tuples and
+  // surface the same first error.
   std::vector<std::pair<std::string, Expr>> proj;
   proj.emplace_back("Q", Expr::Arith(ArithOp::kDiv, Expr::FieldRef("A"),
                                      Expr::FieldRef("B")));
-  CheckAllBatchSizes(MapSpec(std::move(proj)), SchemaAB(),
-                     BatchStream(c.seed + 5, c.n, 50, 0, 3), false);
+  CheckAllBatchSizes("MapDivFallbackWithErrors", MapSpec(std::move(proj)),
+                     SchemaAB(), BatchStream(c.seed + 5, c.n, 50, 0, 3),
+                     false);
 }
 
 TEST_P(BatchOracleTest, TumbleRunBased) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(TumbleSpec("sum", "B", {"A"}), SchemaAB(),
-                     BatchStream(c.seed + 6, c.n, 4, 0, 99), true);
+  CheckAllBatchSizes("TumbleRunBased", TumbleSpec("sum", "B", {"A"}),
+                     SchemaAB(), BatchStream(c.seed + 6, c.n, 4, 0, 99), true);
 }
 
 TEST_P(BatchOracleTest, TumbleEveryN) {
@@ -637,25 +744,27 @@ TEST_P(BatchOracleTest, TumbleEveryN) {
   spec.SetParam("emit", Value("every_n"));
   spec.SetParam("n", Value(int64_t{3}));
   // Small key range: consecutive same-key tuples exercise the group memo.
-  CheckAllBatchSizes(spec, SchemaAB(),
+  CheckAllBatchSizes("TumbleEveryN", spec, SchemaAB(),
                      BatchStream(c.seed + 7, c.n, 2, 0, 99), true);
 }
 
 TEST_P(BatchOracleTest, WindowAggXSection) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(XSectionSpec("max", "B", 4, 2, {"A"}), SchemaAB(),
-                     BatchStream(c.seed + 8, c.n, 3, 0, 50), false);
+  CheckAllBatchSizes("WindowAggXSection", XSectionSpec("max", "B", 4, 2, {"A"}),
+                     SchemaAB(), BatchStream(c.seed + 8, c.n, 3, 0, 50), false);
 }
 
 TEST_P(BatchOracleTest, WindowAggSlide) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(SlideSpec("avg", "B", 5, {"A"}), SchemaAB(),
-                     BatchStream(c.seed + 9, c.n, 3, 0, 50), false);
+  CheckAllBatchSizes("WindowAggSlide", SlideSpec("avg", "B", 5, {"A"}),
+                     SchemaAB(), BatchStream(c.seed + 9, c.n, 3, 0, 50), false);
 }
 
 TEST_P(BatchOracleTest, WSort) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(WSortSpec({"A"}, /*timeout_us=*/0, /*max_buffer=*/6),
+  // max_buffer > 0: trimming emits mid-batch and moves the watermark.
+  CheckAllBatchSizes("WSort",
+                     WSortSpec({"A"}, /*timeout_us=*/0, /*max_buffer=*/6),
                      SchemaAB(), BatchStream(c.seed + 10, c.n, 1000, 0, 9),
                      true);
 }
@@ -664,15 +773,17 @@ TEST_P(BatchOracleTest, WSortUnbounded) {
   const auto& c = GetParam();
   // max_buffer=0: nothing is emitted mid-batch, so WSort's bulk-insert
   // fast path (one stable sort + hinted tree merge per batch) engages.
-  CheckAllBatchSizes(WSortSpec({"A"}, /*timeout_us=*/0, /*max_buffer=*/0),
+  CheckAllBatchSizes("WSortUnbounded",
+                     WSortSpec({"A"}, /*timeout_us=*/0, /*max_buffer=*/0),
                      SchemaAB(), BatchStream(c.seed + 12, c.n, 1000, 0, 9),
                      true);
 }
 
 TEST_P(BatchOracleTest, Resample) {
   const auto& c = GetParam();
-  CheckAllBatchSizes(ResampleSpec("B", /*interval_us=*/2000), SchemaAB(),
-                     BatchStream(c.seed + 11, c.n, 50, 0, 100), true);
+  CheckAllBatchSizes("Resample", ResampleSpec("B", /*interval_us=*/2000),
+                     SchemaAB(), BatchStream(c.seed + 11, c.n, 50, 0, 100),
+                     true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BatchOracleTest,
@@ -681,17 +792,26 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BatchOracleTest,
                                            BatchOpCase{"mid", 72, 129},
                                            BatchOpCase{"big", 73, 500}));
 
-// Multi-input boxes never get batch-dequeued by the schedulers, but the
-// base-class ProcessBatch must still be emission-equivalent per input.
-TEST(BatchOracleMultiInputTest, UnionDefaultLoopMatchesScalar) {
+// Multi-input boxes: per-tuple Process (one-tuple trains, what the
+// schedulers hand a multi-input box) and one whole train per input must
+// both match the golden.
+OracleRun Finish(const Operator& op, const CollectingEmitter& emitter) {
+  OracleRun run;
+  run.emissions = CanonicalEmissions(emitter);
+  run.tuples_in = op.tuples_in();
+  run.tuples_out = op.tuples_out();
+  return run;
+}
+
+TEST(BatchOracleMultiInputTest, UnionMatchesGolden) {
   SchemaPtr schema = SchemaAB();
   std::vector<Tuple> a = BatchStream(80, 37, 50, 0, 9);
   std::vector<Tuple> b = BatchStream(81, 37, 50, 0, 9);
-  auto run = [&](bool batched) {
+  auto run = [&](bool whole) {
     auto op = std::move(CreateOperator(UnionSpec(2))).ValueUnsafe();
     AURORA_CHECK(op->Init({schema, schema}).ok());
     CollectingEmitter emitter;
-    if (batched) {
+    if (whole) {
       TupleBatch ba, bb;
       for (const Tuple& t : a) ba.Push(t, t.timestamp());
       for (const Tuple& t : b) bb.Push(t, t.timestamp());
@@ -705,13 +825,13 @@ TEST(BatchOracleMultiInputTest, UnionDefaultLoopMatchesScalar) {
         EXPECT_OK(op->Process(1, t, t.timestamp(), &emitter));
       }
     }
-    EXPECT_EQ(op->tuples_in(), a.size() + b.size());
-    return CanonicalEmissions(emitter);
+    return Summarize(Finish(*op, emitter));
   };
-  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(false), GoldenFor("Union"));
+  EXPECT_EQ(run(true), GoldenFor("Union"));
 }
 
-TEST(BatchOracleMultiInputTest, JoinDefaultLoopMatchesScalar) {
+TEST(BatchOracleMultiInputTest, JoinMatchesGolden) {
   SchemaPtr left = SchemaAB();
   SchemaPtr right = Schema::Make(
       {Field{"K", ValueType::kInt64}, Field{"V", ValueType::kInt64}});
@@ -726,12 +846,12 @@ TEST(BatchOracleMultiInputTest, JoinDefaultLoopMatchesScalar) {
     }
   }
   for (Tuple& t : lefts) t.set_timestamp(SimTime::Millis(1));
-  auto run = [&](bool batched) {
+  auto run = [&](bool whole) {
     auto op =
         std::move(CreateOperator(JoinSpec("A", "K", 1'000'000))).ValueUnsafe();
     AURORA_CHECK(op->Init({left, right}).ok());
     CollectingEmitter emitter;
-    if (batched) {
+    if (whole) {
       TupleBatch bl, br;
       for (const Tuple& t : lefts) bl.Push(t, t.timestamp());
       for (const Tuple& t : rights) br.Push(t, t.timestamp());
@@ -745,15 +865,16 @@ TEST(BatchOracleMultiInputTest, JoinDefaultLoopMatchesScalar) {
         EXPECT_OK(op->Process(1, t, t.timestamp(), &emitter));
       }
     }
-    return CanonicalEmissions(emitter);
+    return Summarize(Finish(*op, emitter));
   };
-  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(false), GoldenFor("Join"));
+  EXPECT_EQ(run(true), GoldenFor("Join"));
 }
 
 // Probe-side batching with the (key, timestamp) match memo: runs of
 // identical probes, advancing timestamps (expiry between runs), and a
-// post-probe scalar push that checks the probe buffer came out identical.
-TEST(BatchOracleMultiInputTest, JoinProbeBatchMemoMatchesScalar) {
+// post-probe one-tuple push that checks the probe buffer came out identical.
+TEST(BatchOracleMultiInputTest, JoinProbeBatchMemoMatchesGolden) {
   SchemaPtr left = SchemaAB();
   SchemaPtr right = Schema::Make(
       {Field{"K", ValueType::kInt64}, Field{"V", ValueType::kInt64}});
@@ -779,7 +900,7 @@ TEST(BatchOracleMultiInputTest, JoinProbeBatchMemoMatchesScalar) {
   }
   Tuple post = MakeTuple(right, {Value(run_key), Value(int64_t{999})});
   post.set_timestamp(ts);
-  auto run = [&](bool batched) {
+  auto run = [&](bool whole) {
     auto op =
         std::move(CreateOperator(JoinSpec("A", "K", 10'000))).ValueUnsafe();
     AURORA_CHECK(op->Init({left, right}).ok());
@@ -787,7 +908,7 @@ TEST(BatchOracleMultiInputTest, JoinProbeBatchMemoMatchesScalar) {
     for (const Tuple& r : rights) {
       EXPECT_OK(op->Process(1, r, r.timestamp(), &emitter));
     }
-    if (batched) {
+    if (whole) {
       TupleBatch batch;
       for (const Tuple& l : lefts) batch.Push(l, l.timestamp());
       EXPECT_OK(op->ProcessBatch(0, batch, &emitter));
@@ -799,9 +920,10 @@ TEST(BatchOracleMultiInputTest, JoinProbeBatchMemoMatchesScalar) {
     // A late right tuple joins against whatever the probe side buffered:
     // catches any divergence in the probe buffer or its expiry.
     EXPECT_OK(op->Process(1, post, post.timestamp(), &emitter));
-    return CanonicalEmissions(emitter);
+    return Summarize(Finish(*op, emitter));
   };
-  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(false), GoldenFor("JoinProbeBatchMemo"));
+  EXPECT_EQ(run(true), GoldenFor("JoinProbeBatchMemo"));
 }
 
 // ---- String-schema vectorization (TupleBatch::StrColumn) -----------------
@@ -844,36 +966,34 @@ TEST(BatchOracleStringTest, StrColumnExposesPooledViews) {
   EXPECT_EQ(batch.StrColumn(1), nullptr);
 }
 
-TEST(BatchOracleStringTest, FilterStringCompareMatchesScalar) {
+TEST(BatchOracleStringTest, FilterStringCompareMatchesGolden) {
   // String column vs string constant: the vectorized compare path, every
-  // operator, odd-tail and wide batch sizes.
+  // operator, every train size.
   for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                        CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
-    for (int batch_size : {1, 7, 64}) {
-      std::string diff = BatchOracleDiff(
-          FilterSpec(Predicate::Compare("S", op, Value("charlie"))),
-          SchemaSB(), StringStream(95, 113), batch_size, false);
-      EXPECT_TRUE(diff.empty())
-          << "op=" << CompareOpName(op) << " batch=" << batch_size << "\n"
-          << diff;
-    }
+    OperatorSpec spec =
+        FilterSpec(Predicate::Compare("S", op, Value("charlie")));
+    std::vector<Tuple> tuples = StringStream(95, 113);
+    EXPECT_EQ(CheckChunkings(std::string("FilterStringCompare/") +
+                                 CompareOpName(op),
+                             spec, SchemaSB(), tuples, false),
+              "");
+    CheckFilterAgainstEval(spec, SchemaSB(), tuples);
   }
 }
 
-TEST(BatchOracleStringTest, MapIdentityStringProjectionMatchesScalar) {
+TEST(BatchOracleStringTest, MapIdentityStringProjectionMatchesGolden) {
   // A bare string field ref plus an int arithmetic column: identity
   // projections copy values straight out of the tuple, so a string column
-  // no longer forces Map onto the scalar path.
-  for (int batch_size : {1, 7, 64}) {
-    std::vector<std::pair<std::string, Expr>> proj;
-    proj.emplace_back("S2", Expr::FieldRef("S"));
-    proj.emplace_back("B2", Expr::Arith(ArithOp::kAdd, Expr::FieldRef("B"),
-                                        Expr::Constant(Value(int64_t{7}))));
-    std::string diff =
-        BatchOracleDiff(MapSpec(std::move(proj)), SchemaSB(),
-                        StringStream(96, 77), batch_size, false);
-    EXPECT_TRUE(diff.empty()) << "batch=" << batch_size << "\n" << diff;
-  }
+  // does not force Map onto per-tuple Eval.
+  std::vector<std::pair<std::string, Expr>> proj;
+  proj.emplace_back("S2", Expr::FieldRef("S"));
+  proj.emplace_back("B2", Expr::Arith(ArithOp::kAdd, Expr::FieldRef("B"),
+                                      Expr::Constant(Value(int64_t{7}))));
+  EXPECT_EQ(CheckChunkings("MapIdentityStringProjection",
+                           MapSpec(std::move(proj)), SchemaSB(),
+                           StringStream(96, 77), false),
+            "");
 }
 
 // ---- BatchEmitter chunked-emission stamping (regression) -----------------
@@ -953,8 +1073,7 @@ TEST(BatchEmitterTest, FlushSplitsChunksPerOutputRun) {
 }
 
 // Degenerate shapes the schedulers can produce: an empty batch (queue
-// drained by a race in the threaded engine) must be a no-op, and a
-// batch of one must equal a single Process call.
+// drained by a race in the threaded engine) must be a no-op.
 TEST(BatchOracleEdgeTest, EmptyBatchIsANoOp) {
   auto op = std::move(CreateOperator(TumbleSpec("sum", "B", {"A"})))
                 .ValueUnsafe();
@@ -967,12 +1086,38 @@ TEST(BatchOracleEdgeTest, EmptyBatchIsANoOp) {
   EXPECT_EQ(op->tuples_out(), 0u);
 }
 
-TEST(BatchOracleEdgeTest, BatchOfOneEqualsScalarCall) {
-  std::vector<Tuple> one = BatchStream(90, 1, 50, 0, 9);
-  std::string diff = BatchOracleDiff(
-      FilterSpec(Predicate::Compare("A", CompareOp::kGe, Value(int64_t{0}))),
-      SchemaAB(), one, /*batch_size=*/1, false);
-  EXPECT_TRUE(diff.empty()) << diff;
+// Process is a one-tuple train: on traced tuples (seq and trace id set) it
+// emits exactly what a one-tuple ProcessBatch does, trace stamping of new
+// tuples included, for a stateless box (Map) and a stateful one (Tumble).
+TEST(BatchOracleEdgeTest, ProcessOnTracedTupleEqualsOneTupleBatch) {
+  auto tumble = TumbleSpec("cnt", "B", {"A"});
+  tumble.SetParam("emit", Value("every_n"));
+  tumble.SetParam("n", Value(int64_t{2}));
+  std::vector<std::pair<std::string, Expr>> proj;
+  proj.emplace_back("S", Expr::Arith(ArithOp::kAdd, Expr::FieldRef("A"),
+                                     Expr::FieldRef("B")));
+  std::vector<Tuple> tuples = BatchStream(90, 9, 1, 0, 9);
+  for (Tuple& t : tuples) t.set_trace_id(7000 + t.seq());
+  for (const OperatorSpec& spec : {MapSpec(std::move(proj)), tumble}) {
+    auto by_process = std::move(CreateOperator(spec)).ValueUnsafe();
+    auto by_batch = std::move(CreateOperator(spec)).ValueUnsafe();
+    ASSERT_OK(by_process->Init({SchemaAB()}));
+    ASSERT_OK(by_batch->Init({SchemaAB()}));
+    CollectingEmitter process_out, batch_out;
+    for (const Tuple& t : tuples) {
+      ASSERT_OK(by_process->Process(0, t, t.timestamp(), &process_out));
+      TupleBatch one;
+      one.Push(t, t.timestamp());
+      ASSERT_OK(by_batch->ProcessBatch(0, one, &batch_out));
+    }
+    ASSERT_FALSE(process_out.emissions().empty()) << spec.ToString();
+    EXPECT_EQ(CanonicalEmissions(process_out), CanonicalEmissions(batch_out))
+        << spec.ToString();
+    for (const auto& [output, t] : process_out.emissions()) {
+      EXPECT_NE(t.trace_id(), 0u) << spec.ToString();
+    }
+    EXPECT_EQ(by_process->tuples_out(), by_batch->tuples_out());
+  }
 }
 
 TEST(BatchOracleEdgeTest, BadInputIndexRejectedWithoutSideEffects) {

@@ -52,7 +52,8 @@ TEST(SimulationTest, EventsMayScheduleMoreEvents) {
 TEST(SimulationTest, PeriodicRunsUntilFalse) {
   Simulation sim;
   int ticks = 0;
-  sim.SchedulePeriodic(SimDuration::Millis(5), [&]() { return ++ticks < 4; });
+  PeriodicTimer timer = sim.SchedulePeriodicCancelable(
+      SimDuration::Millis(5), [&]() { return ++ticks < 4; });
   sim.RunAll();
   EXPECT_EQ(ticks, 4);
   EXPECT_EQ(sim.Now(), SimTime::Millis(20));
